@@ -10,6 +10,7 @@ verification run appends a manifest line to a JSON-lines file.  Exit codes:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -72,9 +73,12 @@ def _load_psi(spec):
 
 def _parse_vector(text, name="vector"):
     try:
-        return np.array([float(x) for x in text.replace(",", " ").split()])
+        vec = np.array([float(x) for x in text.replace(",", " ").split()])
     except ValueError:
         raise click.UsageError(f"cannot parse {name} from {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise click.UsageError(f"{name} must be finite, got {text!r}")
+    return vec
 
 
 def _parse_grid(text, G):
@@ -382,7 +386,8 @@ def estimate_charfn_cmd(samples, lam, columns):
               help="override exponent; checks without the needed capability are skipped")
 @click.option("--quick", is_flag=True, help="fast subset of the suite")
 @click.option("--manifest", type=click.Path(), default="carnot-runs.jsonl")
-@click.option("--seed", type=int, default=7)
+@click.option("--seed", type=int, default=None,
+              help="seed for every check that draws random numbers (default: its own)")
 @click.option("--pair", type=click.Choice(["pi", "lambda", "gamma", "tbk", "mbeta", "lp"]),
               default=None, help="single intertwining pair, reported as JSON")
 @click.option("--beta", type=int, default=None, help="single co-eigen order, JSON report")
@@ -432,6 +437,8 @@ def verify_cmd(checks, spec, psi_spec, quick, manifest, seed, pair, beta, t_opt,
             "isospectral", "marginal", "mc-kernel", "stationary", "intertwine"
         ):
             kw["exponents"] = override if name != "stationary" else {"user": p}
+        if seed is not None and "seed" in inspect.signature(CHECKS[name]).parameters:
+            kw["seed"] = seed
         results.append(run_check(name, G=G, **kw))
     record = {
         "command": "verify",

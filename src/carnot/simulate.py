@@ -8,6 +8,15 @@ coordinates have variance ``2 t`` apiece, matching the sum-of-squares
 generator; the vertical area is the Ito integral ``int omega(B, dB) / 2``,
 whose variance at time t is exactly ``t^2`` on the first Heisenberg group; jumps ride
 along the vertical coordinate and never feed back into the area.
+
+The area is sampled at the terminal time only, with no time steps: the
+Fourier (Karhunen-Loeve) series of the Levy area given the endpoint
+(Kloeden, Platen and Wright, Stoch. Anal. Appl. 10, 1992), truncated after
+``K = ceil(sqrt(steps))`` modes, plus the remaining tail as a Gaussian with
+its exact covariance given the endpoint (Wiktorsson, Ann. Appl. Probab. 11,
+2001).  ``steps_per_unit`` stays the accuracy setting: K modes match the
+strong error of that many Euler steps.  Antithetic pairs are reflected
+paths ``B -> -B`` that share their area.
 """
 
 from __future__ import annotations
@@ -51,8 +60,8 @@ class PathConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be positive and finite")
         k = self.steps_per_unit
         if k < 1 or (k & (k - 1)) != 0:
             raise ValueError("steps per unit time must be a power of two")
@@ -82,22 +91,46 @@ def _map_chunks(fn, sizes, streams):
 
 
 def _brownian_with_area(G, t, steps, size, rng, antithetic=False):
-    """Terminal (B_t, area_t) with area = int omega(B, dB) / 2.
+    """Terminal (B_t, area_t) with area = int omega(B, dB) / 2, sampled
 
-    Antithetic pairs flip the driving increments; the area is even under
-    the flip, so antithetics only help the horizontal moments.
+    without time steps from the Fourier (Karhunen-Loeve) series of the Levy
+    area (Kloeden, Platen and Wright, Stoch. Anal. Appl. 10, 1992).  With
+    ``B = sqrt(2) W``, ``u = sqrt(2 / t) W_t`` and iid standard normal
+    ``X_k, Y_k`` in R^n,
+
+        area = (t / pi) [ sum_{k <= K} omega(X_k, Y_k + u) / k + tail ],
+
+    where ``K = ceil(sqrt(steps))`` modes are drawn in the order k = 1, 2, ...,
+    so a larger K extends the same path.  The tail sum over k > K is replaced
+    by the Gaussian with its exact covariance given the endpoint (Wiktorsson,
+    Ann. Appl. Probab. 11, 2001),
+
+        s_K [tr(A_l A_l'^T) + (A_l u) . (A_l' u)],   s_K = sum_{k > K} k^-2,
+
+    drawn as ``sqrt(s_K) (M0^{1/2} z1 + omega(z2, u))`` with
+    ``M0[l, l'] = tr(A_l A_l'^T)``.  The strong error is O(1/K), matching
+    Euler's O(steps^-1/2).
+
+    Antithetic pairs are the reflected paths W -> -W; the area is even under
+    the reflection, so a pair shares its area and antithetics only help the
+    horizontal moments.
     """
-    dt = t / steps
-    scale = math.sqrt(2.0 * dt)
+    K = math.ceil(math.sqrt(steps))
     half = (size + 1) // 2 if antithetic else size
-    B = np.zeros((size, G.n))
-    V = np.zeros((size, G.m))
-    for _ in range(steps):
-        dB = rng.standard_normal((half, G.n)) * scale
-        if antithetic:
-            dB = np.concatenate([dB, -dB], axis=0)[:size]
-        V += 0.5 * G.omega(B, dB)
-        B += dB
+    W = rng.standard_normal((half, G.n)) * math.sqrt(t)
+    u = math.sqrt(2.0 / t) * W
+    S = np.zeros((half, G.m))
+    for k in range(1, K + 1):
+        X = rng.standard_normal((half, G.n))
+        S += G.omega(X, rng.standard_normal((half, G.n)) + u) / k
+    s_K = math.pi**2 / 6.0 - sum(1.0 / (k * k) for k in range(1, K + 1))
+    w, Q = np.linalg.eigh(np.einsum("lij,pij->lp", G.A, G.A))
+    root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
+    z1 = rng.standard_normal((half, G.m))
+    S += math.sqrt(s_K) * (z1 @ root + G.omega(rng.standard_normal((half, G.n)), u))
+    B, V = math.sqrt(2.0) * W, (t / math.pi) * S
+    if antithetic:
+        B, V = np.concatenate([B, -B])[:size], np.concatenate([V, V])[:size]
     return B, V
 
 

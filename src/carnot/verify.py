@@ -181,7 +181,7 @@ def check_mc_vs_kernel(G=None, t=1.0, paths=100_000, seed=7,
     G = G or heisenberg(1)
     exps = _named_exponents(exponents, ("none", "cp"))
     ok = True
-    detail = {}
+    detail = {"seed": seed}
     for name, psi in exps.items():
         cfg = PathConfig(horizon=t, steps_per_unit=2048, paths=paths, seed=seed)
         _, V = simulate_levy_on_group(G, psi, cfg)
@@ -261,7 +261,8 @@ def check_weyl_isometry(G=None, tol=1e-5, seed=40):
         lhs = fr.pf * wm.hs_norm_sq() / (2 * math.pi)
         rhs = math.pi / (2.0 * math.sqrt(a * b))
         worst = max(worst, abs(lhs - rhs) / rhs)
-    return CheckResult("weyl-isometry", worst < tol, {"max_rel_err": worst, "tol": tol})
+    return CheckResult("weyl-isometry", worst < tol,
+                       {"max_rel_err": worst, "tol": tol, "seed": seed})
 
 
 def check_plancherel(G=None, tol=1e-3):
@@ -324,7 +325,7 @@ def check_stationary_law(G=None, paths=100_000, seed=41, exponents=None,
     G = G or heisenberg(1)
     exps = _named_exponents(exponents, ("gaussian", "cp"))
     ok = True
-    detail = {}
+    detail = {"seed": seed}
     for name, psi in exps.items():
         cfg = PathConfig(horizon=6.0, steps_per_unit=2048, paths=paths, seed=seed)
         _, V = simulate_levy_ou(G, psi, cfg)
@@ -368,7 +369,7 @@ def check_spectrum_description(G=None, seed=8, samples=200):
     ok &= full_desc.kind == "interval" and full_desc.s0 == 0.0
     return CheckResult(
         "spectrum-description", ok,
-        {"min_sample": float(vals.min()), "ray_tail": float(ray[-1])},
+        {"min_sample": float(vals.min()), "ray_tail": float(ray[-1]), "seed": seed},
     )
 
 

@@ -111,6 +111,32 @@ def test_simulate_determinism_bytes(runner, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_simulate_rejects_nonfinite_horizon(runner, tmp_path, t):
+    res = runner.invoke(main, ["simulate", "levy", "--t", t, "--paths", "200",
+                               "--out", str(tmp_path / "s.csv")])
+    assert res.exit_code == 2
+    assert "finite" in res.output
+
+
+@pytest.mark.parametrize("lam", ["nan", "1.0,inf"])
+def test_psi_eval_rejects_nonfinite_lam(runner, lam):
+    res = runner.invoke(main, ["psi", "eval", "--psi", "builtin:psi_cp", "--lam", lam])
+    assert res.exit_code == 2
+    assert "finite" in res.output
+
+
+def test_verify_seed_reaches_mc_check(runner, tmp_path):
+    manifest = tmp_path / "runs.jsonl"
+    for extra in ([], ["--seed", "123"]):
+        runner.invoke(main, ["verify", "mc-kernel", "--quick", "--manifest", str(manifest)]
+                      + extra)
+    default, seeded = [json.loads(line) for line in manifest.read_text().splitlines()]
+    assert default["seed"] is None and default["results"][0]["seed"] == 7
+    assert seeded["seed"] == 123 and seeded["results"][0]["seed"] == 123
+    assert seeded["results"][0]["none"] != default["results"][0]["none"]
+
+
 def test_verify_quick_and_manifest(runner, tmp_path):
     manifest = tmp_path / "runs.jsonl"
     res = invoke(runner, ["verify", "eigen", "isospectral", "spectrum",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from carnot.cli import _load_group
 from carnot.groups import heisenberg
 from carnot.kernels import vertical_charfn
 from carnot.levy import CompoundPoisson, LevyExponent, NormalDist
@@ -57,14 +58,32 @@ def test_step_halving_stability():
     assert abs(v1.var() - v2.var()) < se
 
 
-@pytest.mark.parametrize("psi", [None, PSI_CP])
-def test_charfn_vs_kernel(psi):
+@pytest.mark.parametrize("spec, psi, paths", [
+    pytest.param("h1", None, 60_000, id="None"),
+    pytest.param("h1", PSI_CP, 60_000, id="psi1"),
+    pytest.param("h2", None, 40_000, id="h2"),
+    pytest.param("quaternionic", None, 40_000, id="quaternionic"),
+])
+def test_charfn_vs_kernel(spec, psi, paths):
+    # m > 1 exercises the tail covariance across vertical directions
     t = 1.0
-    H, V = simulate_levy_on_group(G, psi, cfg(paths=60_000, t=t))
-    est = estimate_charfn(V, [[0.5], [1.0], [2.0]])
-    for k, lam in enumerate((0.5, 1.0, 2.0)):
-        exact = vertical_charfn(G, psi, t, lam)
+    grp, _ = _load_group(f"builtin:{spec}")
+    H, V = simulate_levy_on_group(grp, psi, cfg(paths=paths, t=t))
+    panel = [np.full(grp.m, lam / math.sqrt(grp.m)) for lam in (0.5, 1.0, 2.0)]
+    est = estimate_charfn(V, panel)
+    for k, lam in enumerate(panel):
+        exact = vertical_charfn(grp, psi, t, lam)
         assert abs(est.values[k] - exact) < 3 * est.stderr[k] + 2e-3
+
+
+def test_thread_count_determinism(monkeypatch):
+    # 45k paths make three chunks, so two workers really share the work
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CARNOT_THREADS", threads)
+        runs.append(simulate_levy_on_group(G, PSI_CP, cfg(paths=45_000, steps=256))
+                    + simulate_levy_ou(G, PSI_CP, cfg(paths=45_000, t=2.0, steps=256)))
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_group_law_consistency():
