@@ -52,23 +52,6 @@ def oscillatory_rule(limit, vmax, nodes_per_panel=12, max_panel=1.0):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def decaying_integral(f, start=0.0, panel=1.0, tol=1e-15, max_panels=60, nodes=32):
-    """Integrate ``f`` over [start, infinity) panel by panel until the
-
-    panel contribution drops below ``tol`` in absolute value.
-    """
-    total = 0.0 + 0.0j
-    lo = start
-    for _ in range(max_panels):
-        x, w = gauss_legendre(lo, lo + panel, nodes)
-        part = np.sum(w * f(x))
-        total += part
-        if abs(part) < tol:
-            break
-        lo += panel
-    return total
-
-
 def trapezoid_nd(values, axes):
     """Trapezoidal integral of an n-d array over the given axis grids."""
     out = values

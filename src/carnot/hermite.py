@@ -18,12 +18,11 @@ import numpy as np
 from scipy.special import eval_laguerre
 
 from ._quadrature import gauss_legendre
-from .errors import AccuracyError
+from .errors import AccuracyError, UnsupportedOperationError
 from .spectral import SpectralFrame, harmonic_eigenvalue
 
 __all__ = [
     "hermite_phi",
-    "hermite_phi_scaled",
     "HermiteBasis",
     "laguerre_phi",
     "laguerre_transform",
@@ -67,16 +66,6 @@ def hermite_phi_all(nmax, x):
     for k in range(1, nmax):
         out[k + 1] = x * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
     return out
-
-
-def hermite_phi_scaled(frame: SpectralFrame, beta, x):
-    """Scaled tensor Hermite function ``Phi^lam_beta(x)`` on R^d."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=int))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = abs(frame.pf) ** 0.25
-    for j, b in enumerate(beta):
-        val = val * hermite_phi(b, math.sqrt(frame.eta[j]) * x[..., j])
-    return val
 
 
 @dataclass
@@ -131,7 +120,7 @@ def laguerre_transform(frame: SpectralFrame, profile, beta_max, quad_nodes=400, 
     d = 1 (the only case needed at desk scale: higher d multiplies ranges).
     """
     if frame.d != 1:
-        raise NotImplementedError("radial transform implemented for d = 1")
+        raise UnsupportedOperationError("radial transform implemented for d = 1")
     eta = frame.eta[0]
     cap = u_cap if u_cap is not None else 60.0
     # integrate over u = eta |z|^2 / 2: dz = (2 pi / eta) du
@@ -189,7 +178,7 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None,
     element by more than ``tol`` or an :class:`AccuracyError` is raised.
     """
     if frame.d != 1:
-        raise NotImplementedError("Weyl matrices implemented for d = 1")
+        raise UnsupportedOperationError("Weyl matrices implemented for d = 1")
     frame.require_generic()
 
     def assemble(npts):

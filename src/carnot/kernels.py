@@ -17,6 +17,14 @@ Vertical Levy perturbations multiply the hat by ``exp(t psi(lam))``; the
 stationary density of the Ornstein-Uhlenbeck semigroup is the ``t = 1/2``
 heat hat times ``exp(int_0^inf psi(-e^{-2s} lam) ds)`` with the radical
 factor ``exp(-|nu|^2 / 2)``.
+
+Everything partial-Fourier is computed in one place each: the Mehler
+(sinh/coth) hat in :func:`mehler_hat`, its area (sech/tanh) counterpart in
+:func:`mehler_area`, and the vertical inversion ``(2 pi)^{-1} int F(lam)
+e^{-i lam v} dlam`` in :func:`fourier_invert`.  Hats and vertical
+characteristic functions are available on every step-2 group; real-space
+inversion (grids, point values) needs m = 1, where the oscillator planes
+do not move with ``lam``.
 """
 
 from __future__ import annotations
@@ -28,10 +36,13 @@ import numpy as np
 
 from ._quadrature import oscillatory_rule, trapezoid_nd
 from .errors import UnsupportedOperationError
-from .groups import CarnotGroup, is_h_type
+from .groups import CarnotGroup
 from .spectral import frame_at
 
 __all__ = [
+    "mehler_hat",
+    "mehler_area",
+    "fourier_invert",
     "heat_hat",
     "perturbed_hat",
     "invariant_hat",
@@ -46,19 +57,51 @@ __all__ = [
 ]
 
 
-def _log_sinh_factor(eta, t):
-    """``sum_j [log eta_j - log(2 sinh(eta_j t))]`` computed stably."""
+def mehler_hat(eta, t):
+    """The Mehler (sinh/coth) hat of one horizontal heat time ``t``.
+
+    Returns ``(log amplitude, coef)`` with the log of
+    ``prod_j eta_j / (2 pi * 2 sinh(eta_j t))`` (stable for large
+    ``eta t``) and the per-plane Gaussian coefficients
+    ``eta_j coth(eta_j t) / 4``; the last axis of ``eta`` runs over planes.
+    """
     x = eta * t
-    return np.sum(np.log(eta) - (x + np.log1p(-np.exp(-2.0 * x))), axis=-1)
+    log_amp = -eta.shape[-1] * math.log(2.0 * math.pi) + np.sum(
+        np.log(eta) - (x + np.log1p(-np.exp(-2.0 * x))), axis=-1
+    )
+    return log_amp, 0.25 * eta * (1.0 / np.tanh(x))
 
 
-def _hat_value(eta, zsq, nu, t, d):
-    """Common closed form; ``zsq`` are the per-plane squared radii."""
-    log_pref = -d * math.log(2.0 * math.pi) + _log_sinh_factor(eta, t)
-    expo = -0.25 * np.sum(eta * zsq / np.tanh(eta * t), axis=-1)
-    nu = np.asarray(nu, dtype=float)
-    nusq = np.sum(nu * nu, axis=-1) if nu.size else 0.0
-    return np.exp(log_pref + expo - t * nusq)
+def mehler_area(eta, s):
+    """The area (sech/tanh) counterpart of :func:`mehler_hat` at horizon ``s``.
+
+    Returns ``(prod_j sech(eta_j s), eta_j tanh(eta_j s) / 4)``: the hat
+    integrated over the planes, and the per-plane coefficients of the area
+    characteristic function ``E exp(i lam (area_s + omega(a, B_s)/2))``.
+    """
+    x = eta * s
+    return np.prod(1.0 / np.cosh(x), axis=-1), 0.25 * eta * np.tanh(x)
+
+
+def fourier_invert(envelope, rows, lam, w, v):
+    """Vertical inversion ``(2 pi)^{-1} int F(lam) e^{-i lam v} dlam`` on the
+
+    rule ``(lam, w)``, for ``F = rows[i] * envelope``.  ``rows`` is None (a
+    single row of ones; the result has shape ``(len(v),)``) or a pair
+    ``(n, block)`` where ``block(lo, hi)`` returns rows ``lo:hi`` of the
+    ``(n, len(lam))`` factor; the rows are taken about 4e6 entries at a time.
+    """
+    phase = np.exp(-1j * np.outer(lam, v))
+    env = envelope * w
+    if rows is None:
+        return env @ phase / (2 * math.pi)
+    n, block = rows
+    out = np.empty((n, len(v)), dtype=complex)
+    chunk = max(1, int(4e6 / max(len(lam), 1)))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        out[lo:hi] = (block(lo, hi) * env) @ phase / (2 * math.pi)
+    return out
 
 
 def heat_hat(G: CarnotGroup, t, z, lam, nu=()):
@@ -77,7 +120,8 @@ def heat_hat(G: CarnotGroup, t, z, lam, nu=()):
     nu = np.atleast_1d(np.asarray(nu, dtype=float)) if np.size(nu) else np.zeros(0)
     if nu.shape != (fr.k,):
         raise ValueError(f"nu must have length k = {fr.k}")
-    return float(_hat_value(fr.eta, zsq, nu, t, fr.d))
+    log_amp, coef = mehler_hat(fr.eta, t)
+    return float(np.exp(log_amp - zsq @ coef - t * (nu @ nu)))
 
 
 def perturbed_hat(G: CarnotGroup, psi, t, z, lam, nu=()):
@@ -117,7 +161,7 @@ def vertical_charfn(G: CarnotGroup, psi, t, lam, invariant=False):
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     fr = frame_at(G, lam).require_generic()
     tt = 0.5 if invariant else float(t)
-    base = float(np.prod(1.0 / np.cosh(fr.eta * tt)))
+    base = float(mehler_area(fr.eta, tt)[0])
     if psi is None or psi.is_trivial:
         return complex(base)
     if invariant:
@@ -138,13 +182,6 @@ class KernelSlice:
     t: float                       # effective Gaussian time (1/2 for invariant)
     psi: object = None
     c_norm: float = 1.0
-
-    def hat(self, z, lam, nu=()):
-        if self.kind == "heat":
-            return complex(heat_hat(self.group, self.t, z, lam, nu))
-        if self.kind == "perturbed":
-            return perturbed_hat(self.group, self.psi, self.t, z, lam, nu)
-        return invariant_hat(self.group, self.psi, z, lam, nu)
 
     def multiplier(self, lam_batch):
         """Vertical multiplier on a batch of frequencies (shape (N, m))."""
@@ -180,16 +217,6 @@ class DensityGrid:
     def mass(self):
         return float(trapezoid_nd(self.values, self.axes))
 
-    def interp(self, point):
-        """Multilinear interpolation at one point."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        if "_interp" not in self.meta:
-            self.meta["_interp"] = RegularGridInterpolator(
-                tuple(self.axes), self.values, bounds_error=False, fill_value=0.0
-            )
-        return float(self.meta["_interp"](np.asarray(point)[None, :])[0])
-
 
 class _HatProfile:
     """Vectorized evaluator of the scalar hat ``W(h; lam)``: the partial
@@ -197,54 +224,41 @@ class _HatProfile:
     Fourier transform in the vertical variables only, with the radical
     frequency integrated out in closed form.
 
-    Restricted to groups whose oscillator planes do not move with ``lam``:
-    any group with m = 1, and groups of Heisenberg type.
+    Restricted to m = 1, where the oscillator planes do not move with
+    ``lam`` and ``eta(lam) = |lam| eta(1)``.
     """
 
     def __init__(self, slice_: KernelSlice):
         G = slice_.group
+        if G.m != 1:
+            raise UnsupportedOperationError(
+                "real-space inversion is implemented for m = 1; groups with "
+                "m >= 2 support hat-side evaluation only"
+            )
         self.slice = slice_
         self.G = G
-        if G.m == 1:
-            fr = frame_at(G, np.ones(1))
-            self.mode = "m1"
-            self.eta_unit = fr.eta           # eta(lam) = |lam| * eta_unit
-            self.frame = fr
-        elif is_h_type(G):
-            self.mode = "htype"
-        else:
-            raise UnsupportedOperationError(
-                "real-space inversion needs lam-independent oscillator planes "
-                "(any m = 1 group, or a group of Heisenberg type); this group "
-                "only supports hat-side evaluation"
-            )
+        self.frame = frame_at(G, np.ones(1))
+        self.eta_unit = self.frame.eta
 
-    def radial_time(self):
-        return self.slice.t
+    def planes(self, H):
+        """Per-plane squared radii (N_h, d) and radical squared norms (N_h,)
+
+        of the horizontal points in the rows of ``H``.
+        """
+        d, F = self.G.d, self.frame.frame
+        z, r = F.T[: 2 * d] @ H.T, F.T[2 * d:] @ H.T
+        return (z[:d] ** 2 + z[d:] ** 2).T, np.sum(r**2, axis=0)
+
+    def eta(self, lam):
+        """Symplectic spectra (N_l, d) at the scalar frequencies ``lam``."""
+        return np.abs(lam)[:, None] * self.eta_unit[None, :]
 
     def values(self, H, lam_batch):
         """Array of shape (len(H), len(lam_batch)); H rows are horizontal points."""
-        G, t = self.G, self.slice.t
-        d = G.d
-        if self.mode == "m1":
-            fr = self.frame
-            z, r = fr.frame.T[: 2 * d] @ H.T, fr.frame.T[2 * d:] @ H.T
-            zsq = (z[:d] ** 2 + z[d:] ** 2).T            # (N_h, d)
-            rsq = np.sum(r**2, axis=0)                   # (N_h,)
-            eta = np.abs(lam_batch[:, 0])[:, None] * self.eta_unit[None, :]  # (N_l, d)
-        else:
-            zsq = np.sum(H**2, axis=1)[:, None] * np.ones(d)[None, :] / d
-            # H-type: all eta equal |lam| and sum_j |z_j|^2 = |h|^2, so the
-            # exponent only sees |h|^2; spreading it evenly is exact.
-            rsq = np.zeros(len(H))
-            eta = np.linalg.norm(lam_batch, axis=1)[:, None] * np.ones(d)[None, :]
-        x = eta * t
-        log_pref = -d * math.log(2 * math.pi) + np.sum(
-            np.log(eta) - (x + np.log1p(-np.exp(-2 * x))), axis=1
-        )                                                # (N_l,)
-        coth = 1.0 / np.tanh(x)                          # (N_l, d)
-        expo = -0.25 * np.einsum("hd,ld->hl", zsq, eta * coth)
-        out = np.exp(expo + log_pref[None, :])
+        t = self.slice.t
+        zsq, rsq = self.planes(H)
+        log_amp, coef = mehler_hat(self.eta(lam_batch[:, 0]), t)
+        out = np.exp(log_amp[None, :] - np.einsum("hd,ld->hl", zsq, coef))
         if self.G.k > 0:
             out = out * (
                 (4 * math.pi * t) ** (-self.G.k / 2)
@@ -252,74 +266,44 @@ class _HatProfile:
             )[:, None]
         return out * self.slice.multiplier(lam_batch)[None, :]
 
-    def envelope_limit(self, tol=1e-12):
-        """Frequency cutoff where the zero-point envelope drops below tol."""
+    def lambda_rule(self, vmax, tol=1e-12):
+        """Oscillatory rule for ``|v| <= vmax`` up to the frequency cutoff
+
+        where the zero-point envelope drops below ``tol``.
+        """
         G, t = self.G, self.slice.t
-        if self.mode == "m1":
-            eta_sum = float(np.sum(self.eta_unit))
-        else:
-            eta_sum = float(G.d)
+        eta_sum = float(np.sum(self.eta_unit))
         # prefactor decays like exp(-eta_sum * t * |lam|); add slack for psi
         lam = 1.0
         for _ in range(60):
             if eta_sum * t * lam - G.d * math.log(max(lam, 1.0)) > -math.log(tol):
                 break
             lam *= 1.5
-        return lam
-
-
-def _lambda_rule(profile, vmax, tol=1e-12, nodes_per_panel=12):
-    limit = profile.envelope_limit(tol)
-    return oscillatory_rule(limit, vmax, nodes_per_panel=nodes_per_panel)
+        return oscillatory_rule(lam, vmax, nodes_per_panel=12)
 
 
 def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplier=None):
     """Invert the partial Fourier transform onto a tensor grid over (h, v).
 
-    ``axes`` is a list of 1-d grids, one per horizontal then per vertical
-    coordinate.  Only m <= 2 is supported (tensor quadrature in ``lam``).
-    Returns a :class:`DensityGrid`; when ``calibrate`` is true the values
-    are scaled to unit trapezoidal mass and the constant stored in ``meta``.
+    ``axes`` is a list of 1-d grids, one per horizontal coordinate and then
+    the vertical one; only m = 1 is supported.  Returns a
+    :class:`DensityGrid`; when ``calibrate`` is true the values are scaled
+    to unit trapezoidal mass and the constant stored in ``meta``.
     """
     G = slice_.group
-    if G.m > 2:
-        raise UnsupportedOperationError("grid inversion implemented for m <= 2")
-    if len(axes) != G.n + G.m:
-        raise ValueError(f"need {G.n + G.m} axes, got {len(axes)}")
     profile = _HatProfile(slice_)
-    h_axes, v_axes = axes[: G.n], axes[G.n:]
-    H = np.stack([c.ravel() for c in np.meshgrid(*h_axes, indexing="ij")], axis=1)
-    vmax = max(float(np.max(np.abs(ax))) for ax in v_axes)
+    if len(axes) != G.n + 1:
+        raise ValueError(f"need {G.n + 1} axes, got {len(axes)}")
+    H = np.stack([c.ravel() for c in np.meshgrid(*axes[: G.n], indexing="ij")], axis=1)
+    V = axes[G.n]
+    lam, w = profile.lambda_rule(float(np.max(np.abs(V))))
+    lam_batch = lam[:, None]
+    mult = vertical_multiplier(lam_batch) if vertical_multiplier is not None else 1.0
 
-    if G.m == 1:
-        lam, w = _lambda_rule(profile, vmax)
-        lam_batch = lam[:, None]
-        V = v_axes[0]
-        phase = np.exp(-1j * np.outer(lam, V))          # (N_l, N_v)
-        vals = np.empty((len(H), len(V)), dtype=complex)
-        mult = (
-            vertical_multiplier(lam_batch)[None, :]
-            if vertical_multiplier is not None
-            else 1.0
-        )
-        chunk = max(1, int(4e6 / max(len(lam), 1)))
-        for lo in range(0, len(H), chunk):
-            W = profile.values(H[lo:lo + chunk], lam_batch) * mult
-            vals[lo:lo + chunk] = (W * w[None, :]) @ phase / (2 * math.pi)
-    else:
-        lam1, w1 = _lambda_rule(profile, vmax)
-        lam2, w2 = lam1.copy(), w1.copy()
-        L1, L2 = np.meshgrid(lam1, lam2, indexing="ij")
-        lam_batch = np.stack([L1.ravel(), L2.ravel()], axis=1)
-        ww = np.outer(w1, w2).ravel()
-        W = profile.values(H, lam_batch)
-        if vertical_multiplier is not None:
-            W = W * vertical_multiplier(lam_batch)[None, :]
-        V1, V2 = np.meshgrid(v_axes[0], v_axes[1], indexing="ij")
-        Vpts = np.stack([V1.ravel(), V2.ravel()], axis=1)
-        phase = np.exp(-1j * lam_batch @ Vpts.T)
-        vals = (W * ww[None, :]) @ phase / (2 * math.pi) ** 2
+    def hats(lo, hi):
+        return profile.values(H[lo:hi], lam_batch) * mult
 
+    vals = fourier_invert(1.0, (len(H), hats), lam, w, V)
     shape = tuple(len(ax) for ax in axes)
     values = vals.real.reshape(shape)
     grid = DensityGrid(axes=list(axes), values=values,
@@ -334,14 +318,11 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
 
 def invert_at(slice_: KernelSlice, h, v, tol=1e-12):
     """Point value of the inverted kernel (m = 1 only)."""
-    G = slice_.group
-    if G.m != 1:
-        raise UnsupportedOperationError("point inversion implemented for m = 1")
     profile = _HatProfile(slice_)
-    lam, w = _lambda_rule(profile, abs(float(np.atleast_1d(v)[0])) + 1.0, tol)
+    v = np.atleast_1d(np.asarray(v, dtype=float))[:1]
+    lam, w = profile.lambda_rule(abs(float(v[0])) + 1.0, tol)
     W = profile.values(np.asarray(h, dtype=float)[None, :], lam[:, None])[0]
-    phase = np.exp(-1j * lam * float(np.atleast_1d(v)[0]))
-    return float(np.real(np.sum(w * W * phase)) / (2 * math.pi)) * slice_.c_norm
+    return float(fourier_invert(W, None, lam, w, v)[0].real) * slice_.c_norm
 
 
 def co_eigenfunction(G: CarnotGroup, psi, beta, axes, floor=1e-300):

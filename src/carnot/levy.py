@@ -569,10 +569,6 @@ class LevyExponent:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_increment(self, t, rng):
-        """One draw per row of the increment law at time ``t`` (charfn e^{t psi})."""
-        return self.sample_increments(t, rng, 1)[0]
-
     def sample_increments(self, t, rng, size):
         if t <= 0:
             raise ValueError("t must be positive")

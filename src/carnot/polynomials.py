@@ -188,9 +188,6 @@ class GradedPolynomial:
             total = total + term
         return total if shape else float(total)
 
-    def coefficients_float(self):
-        return {k: float(c) for k, c in self.terms.items()}
-
     def max_abs_coeff(self):
         return max((abs(float(c)) for c in self.terms.values()), default=0.0)
 

@@ -10,7 +10,9 @@ group semigroups and Euclidean Ornstein-Uhlenbeck semigroups:
 
 All polynomial paths are exact finite computations; integral operators are
 evaluated by quadrature against inverted kernels or one-dimensional Fourier
-representations.
+representations.  The Fourier paths are m = 1 only; they share the
+kernel module's area profile and vertical inversion, on the one fixed
+lambda rule ``LAM_RULE``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._quadrature import composite_gl, gauss_legendre
+from ._quadrature import composite_gl
 from .errors import UnsupportedOperationError
 from .groups import CarnotGroup
-from .kernels import invariant_slice, invert_to_grid
+from .kernels import (
+    _HatProfile,
+    fourier_invert,
+    heat_slice,
+    invariant_slice,
+    invert_to_grid,
+    mehler_area,
+)
 from .levy import LevyExponent
 from .polynomials import (
     GradedPolynomial,
@@ -46,11 +55,16 @@ __all__ = [
     "coeigen_residual",
     "mehler_apply",
     "euclidean_levy_ou_apply",
-    "area_charfn",
     "ou_apply_vertical",
     "weighted_gram",
     "nonnormality_witness",
 ]
+
+
+# The fixed lambda rule of the one-dimensional vertical transport: every
+# integrand it meets carries a Gaussian test transform that is negligible
+# beyond |lam| = 40.
+LAM_RULE = composite_gl(-40.0, 40.0, 200, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +215,10 @@ def mehler_apply(f, t, points, dim, gh_nodes=48):
             math.exp(-t) * pts[:, 1][:, None] + sh2[None, :],
         )
         return vals @ w
-    raise NotImplementedError("Mehler quadrature implemented for dim <= 2")
+    raise UnsupportedOperationError("Mehler quadrature implemented for dim <= 2")
 
 
-def _default_lam_rule(limit=40.0, panels=240, nodes=8):
-    return composite_gl(-limit, limit, panels, nodes)
-
-
-def euclidean_levy_ou_apply(psi, t, f_hat, v_points, lam_rule=None, reflected=False,
-                            extra_multiplier=None):
+def euclidean_levy_ou_apply(psi, t, f_hat, v_points, reflected=False):
     """Vertical Levy-Ornstein-Uhlenbeck semigroup on the real line through
 
     its Fourier representation:
@@ -223,58 +232,27 @@ def euclidean_levy_ou_apply(psi, t, f_hat, v_points, lam_rule=None, reflected=Fa
     coincide.
     """
     if psi is not None and psi.m != 1:
-        raise NotImplementedError("vertical transport implemented for m = 1")
-    lam, w = lam_rule if lam_rule is not None else _default_lam_rule()
+        raise UnsupportedOperationError("vertical transport implemented for m = 1")
+    lam, w = LAM_RULE
     sign = 1.0 if reflected else -1.0
     mult = np.ones_like(lam, dtype=complex)
     if psi is not None and not psi.is_trivial:
         mult = np.exp(np.asarray(psi.psi_t(t, sign * math.exp(-2 * t) * lam), dtype=complex))
-    if extra_multiplier is not None:
-        mult = mult * extra_multiplier(lam)
-    v = np.asarray(v_points, dtype=float)
-    phases = np.exp(-1j * math.exp(-2 * t) * np.outer(lam, v))
-    vals = (f_hat(lam) * mult * w) @ phases / (2 * math.pi)
-    return vals
+    v = math.exp(-2 * t) * np.asarray(v_points, dtype=float)
+    return fourier_invert(f_hat(lam) * mult, None, lam, w, v)
 
 
-def convolve_fourier(f_hat, mult, v_points, lam_rule=None):
+def convolve_fourier(f_hat, mult, v_points):
     """Evaluate ``f * kernel`` where the kernel has Fourier transform ``mult``."""
-    lam, w = lam_rule if lam_rule is not None else _default_lam_rule()
-    v = np.asarray(v_points, dtype=float)
-    phases = np.exp(-1j * np.outer(lam, v))
-    return (f_hat(lam) * mult(lam) * w) @ phases / (2 * math.pi)
+    lam, w = LAM_RULE
+    return fourier_invert(f_hat(lam) * mult(lam), None, lam, w, np.asarray(v_points, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # group Ornstein-Uhlenbeck semigroup on vertical test functions
 # ---------------------------------------------------------------------------
 
-def area_charfn(G, s, hsq_planes, lam):
-    """``E exp(i lam (area_s + omega(a, B_s)/2))`` for horizontal Brownian
-
-    motion run for time s, as a function of the per-plane squared radii of
-    the anchor point a:
-
-        prod_j sech(eta_j s) exp(-(eta_j |a_j|^2 / 4) tanh(eta_j s)).
-
-    ``hsq_planes`` has shape (N, d); ``lam`` is scalar (m = 1 layer).
-    """
-    fr = frame_at(G, np.atleast_1d([lam]) if G.m == 1 else lam)
-    eta = fr.eta
-    x = eta * s
-    sech = np.prod(1.0 / np.cosh(x))
-    expo = -0.25 * (hsq_planes @ (eta * np.tanh(x)))
-    return sech * np.exp(expo)
-
-
-def plane_radii(G, H):
-    """Per-plane squared radii of horizontal points (m = 1 groups)."""
-    fr = frame_at(G, np.ones(G.m))
-    z = fr.frame.T[: 2 * G.d] @ np.atleast_2d(H).T
-    return (z[: G.d] ** 2 + z[G.d:] ** 2).T
-
-
-def ou_apply_vertical(G, psi, t, f_hat, H, V, lam_rule=None):
+def ou_apply_vertical(G, psi, t, f_hat, H, V):
     """Perturbed group Ornstein-Uhlenbeck semigroup applied to a vertical
 
     test function ``f(h, v) = phi(v)`` with known Fourier transform, on a
@@ -284,28 +262,23 @@ def ou_apply_vertical(G, psi, t, f_hat, H, V, lam_rule=None):
                       exp(psi_t(e^{-2t} lam)) Xi(e^{-t} h; lam) d lam,
 
     where Xi is the area characteristic function at horizon
-    ``s = (1 - e^{-2t}) / 2``.  Matches the reflected-drive convention of
-    the stationary density.
+    ``s = (1 - e^{-2t}) / 2`` (:func:`~carnot.kernels.mehler_area`).
+    Matches the reflected-drive convention of the stationary density.
     """
-    if G.m != 1:
-        raise NotImplementedError("vertical transport implemented for m = 1")
-    lam, w = lam_rule if lam_rule is not None else _default_lam_rule()
+    lam, w = LAM_RULE
     s = (1.0 - math.exp(-2.0 * t)) / 2.0
-    hsq = plane_radii(G, H) * math.exp(-2.0 * t)
-    fr = frame_at(G, np.ones(1))
-    eta_unit = fr.eta
-    # vectorized area charfn over (lam, points)
-    eta = np.abs(lam)[:, None] * eta_unit[None, :]          # (L, d)
-    x = eta * s
-    sech = np.prod(1.0 / np.cosh(x), axis=1)                # (L,)
-    expo = -0.25 * np.einsum("nd,ld->nl", hsq, eta * np.tanh(x))
-    xi = sech[None, :] * np.exp(expo)                       # (N, L)
+    profile = _HatProfile(heat_slice(G, s))
+    hsq = profile.planes(np.atleast_2d(H))[0] * math.exp(-2.0 * t)
+    sech, coef = mehler_area(profile.eta(lam), s)                # (L,), (L, d)
     mult = np.ones_like(lam, dtype=complex)
     if psi is not None and not psi.is_trivial:
         mult = np.exp(np.asarray(psi.psi_t(t, math.exp(-2 * t) * lam), dtype=complex))
-    fv = f_hat(lam) * mult * w                              # (L,)
-    phases = np.exp(-1j * math.exp(-2 * t) * np.outer(lam, np.asarray(V)))  # (L, Nv)
-    return (xi * fv[None, :]) @ phases / (2 * math.pi)      # (N, Nv)
+
+    def xi(lo, hi):
+        return sech[None, :] * np.exp(-np.einsum("nd,ld->nl", hsq[lo:hi], coef))
+
+    v = math.exp(-2 * t) * np.asarray(V, dtype=float)
+    return fourier_invert(f_hat(lam) * mult, (len(hsq), xi), lam, w, v)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +366,7 @@ def _pi_residual(G, psi, t, test, rng, tol):
         lhs = op.apply_to_polynomial(p)
         pts = np.array([rng.normal(size=G.n) for _ in range(30)])
         if G.n != 2:
-            raise NotImplementedError("pi residual implemented for n = 2")
+            raise UnsupportedOperationError("pi residual implemented for n = 2")
         rhs_vals = mehler_apply(
             lambda x, y: p.evaluate(np.stack([x, y], axis=-1), np.zeros(np.shape(x) + (G.m,))),
             t, pts, dim=2,
@@ -474,29 +447,29 @@ def _lambda_residual(G, psi, t, test, tol):
     and projects by quadrature against the inverted kernel grid.
     """
     if G.m != 1 or G.n != 2:
-        raise NotImplementedError("lambda residual implemented on the first Heisenberg group")
+        raise UnsupportedOperationError(
+            "lambda residual implemented on the first Heisenberg group"
+        )
     a = 0.5 if test is None else float(test)
     f_hat = lambda lam: np.sqrt(2 * math.pi / (2 * a)) * np.exp(-(lam**2) / (4 * a))
     v_targets = np.linspace(-1.5, 1.5, 7)
-    lam_rule = composite_gl(-40, 40, 200, 8)
 
     # left side: P^psi_t (Lambda f), with (Lambda f)^hat = f_hat * sech(lam/2)
+    eta = _HatProfile(heat_slice(G, 0.5)).eta
     lhs = euclidean_levy_ou_apply(
         psi, t,
-        lambda lam: f_hat(lam) / np.cosh(lam / 2.0),
-        v_targets, lam_rule=lam_rule, reflected=True,
+        lambda lam: f_hat(lam) * mehler_area(eta(lam), 0.5)[0],
+        v_targets, reflected=True,
     )
 
     # right side: Lambda (P^psi_t f) by quadrature against the heat grid
     hx = np.linspace(-4.2, 4.2, 43)
     vx = np.linspace(-3.6, 3.6, 49)
-    from .kernels import heat_slice
-
     qgrid = invert_to_grid(heat_slice(G, 0.5), [hx, hx, vx], calibrate=False)
     H = np.stack([c.ravel() for c in np.meshgrid(hx, hx, indexing="ij")], axis=1)
     rhs = np.empty(len(v_targets))
     for i, v0 in enumerate(v_targets):
-        pf = ou_apply_vertical(G, psi, t, f_hat, H, v0 + vx, lam_rule=lam_rule)
+        pf = ou_apply_vertical(G, psi, t, f_hat, H, v0 + vx)
         pf = pf.real.reshape(len(hx), len(hx), len(vx))
         integ = np.trapezoid(np.trapezoid(np.trapezoid(pf * qgrid.values, vx), hx), hx)
         rhs[i] = integ
@@ -518,12 +491,11 @@ def _tbk_residual(psi, t, test, tol):
     psi_jump = LevyExponent(b=psi.b.copy(), jumps=psi.jumps, m=1)
     h_mult = lambda lam: np.exp(np.asarray(psi_jump.psi_limit(-lam), dtype=complex))
     v_targets = np.linspace(-2.0, 2.0, 9)
-    lam_rule = composite_gl(-40, 40, 200, 8)
     # lhs: P^sigma_t (T f) -- convolution first, Gaussian flow second
     lhs = euclidean_levy_ou_apply(
         psi_gauss, t,
         lambda lam: f_hat(lam) * h_mult(lam),
-        v_targets, lam_rule=lam_rule, reflected=False,
+        v_targets, reflected=False,
     )
     # rhs: T (P^psi_t f) -- full vertical flow in real space, then convolution
     def pf_hat(lam):
@@ -534,7 +506,7 @@ def _tbk_residual(psi, t, test, tol):
             * np.exp(np.asarray(psi.psi_t(t, -lam), dtype=complex))
         )
 
-    rhs = convolve_fourier(pf_hat, h_mult, v_targets, lam_rule=lam_rule)
+    rhs = convolve_fourier(pf_hat, h_mult, v_targets)
     res = float(np.max(np.abs(lhs - rhs)))
     return IntertwinerReport("tbk", f"gaussian(a={a})", t, res, tol if tol else 1e-4)
 
@@ -585,7 +557,9 @@ def coeigen_residual(G, psi, beta, t, test="v", axes=None, tol=1e-3):
     d^beta_v p`` so no pointwise division is involved.
     """
     if G.m != 1 or G.n != 2:
-        raise NotImplementedError("co-eigen residual implemented on the first Heisenberg group")
+        raise UnsupportedOperationError(
+            "co-eigen residual implemented on the first Heisenberg group"
+        )
     beta = tuple(int(b) for b in np.atleast_1d(beta))
     if axes is None:
         axes = [np.linspace(-5.0, 5.0, 61), np.linspace(-5.0, 5.0, 61),
@@ -600,7 +574,6 @@ def coeigen_residual(G, psi, beta, t, test="v", axes=None, tol=1e-3):
     jp = (-1.0) ** beta[0] * dgrid.values     # J * p = (-1)^{|b|} d^b p
 
     H = np.stack([c.ravel() for c in np.meshgrid(hx, hy, indexing="ij")], axis=1)
-    lam_rule = composite_gl(-40, 40, 200, 8)
 
     if test == "v":
         if beta[0] != 1:
@@ -622,7 +595,7 @@ def coeigen_residual(G, psi, beta, t, test="v", axes=None, tol=1e-3):
             phi_hat = lambda lam: 1j * lam * np.sqrt(2 * math.pi) * np.exp(-(lam**2) / 2.0)
         else:
             raise ValueError(f"unsupported co-eigen test {test!r}")
-        pf = ou_apply_vertical(G, psi, t, phi_hat, H, vx, lam_rule=lam_rule)
+        pf = ou_apply_vertical(G, psi, t, phi_hat, H, vx)
         pf_vals = pf.real.reshape(len(hx), len(hy), len(vx))
         f_vals = (phi(vx)[None, None, :]) * np.ones((len(hx), len(hy), 1))
 

@@ -18,9 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateFrameError
-from .groups import CarnotGroup
-
-RANK_RTOL = 1e-10
+from .groups import RANK_RTOL, CarnotGroup
 
 
 @dataclass(frozen=True)

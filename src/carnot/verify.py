@@ -200,8 +200,10 @@ def check_mc_vs_kernel(G=None, t=1.0, paths=100_000, seed=7,
 def check_intertwinings(G=None, t=0.5, exponents=None):
     """All intertwining relations: exact polynomial paths below 1e-12,
 
-    quadrature paths below 1e-4.  Exponents without the capability a pair
-    needs (moments for the polynomial shifts) are reported as skipped.
+    quadrature paths below 1e-4.  Pairs that need a capability the group
+    or the exponent lacks (the Heisenberg geometry of the lift and the
+    projection, moments for the polynomial shifts), and exponents whose
+    dimension differs from the vertical layer's, are reported as skipped.
     """
     G = G or heisenberg(1)
     exps = exponents or {k: v for k, v in default_exponents().items() if k != "gaussian-drift"}
@@ -215,6 +217,9 @@ def check_intertwinings(G=None, t=0.5, exponents=None):
             skipped[f"{pair}"] = f"skipped: {exc}"
 
     for name, psi in exps.items():
+        if psi is not None and psi.m != G.m:
+            skipped[name] = f"skipped: exponent has m = {psi.m}, the group has m = {G.m}"
+            continue
         attempt("pi", psi, "h1", tol=1e-12)
         if psi is not None:
             attempt("gamma", psi, "mixed", tol=1e-12)

@@ -179,3 +179,57 @@ def test_stable_skips_polynomial_checks(runner, tmp_path):
     })
     assert res.passed
     assert "skipped_stable" in res.detail
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", "hat", "--lam", "1.0", "--t", "nan"],
+    ["kernel", "hat", "--lam", "1.0", "--t", "-inf"],
+    ["psi", "psit", "--psi", "builtin:psi_gaussian", "--lam", "1.0", "--t", "nan"],
+    ["kernel", "invert", "--t", "inf", "--out", "q.csv"],
+    ["kernel", "invert", "--grid", "h:nan:3:5,v:-3:3:5", "--out", "q.csv"],
+    ["kernel", "invert", "--grid", "h:-3:3:5,v:-3:inf:5", "--out", "q.csv"],
+    ["verify", "--pair", "pi", "--t", "nan"],
+])
+def test_nonfinite_floats_are_usage_errors(runner, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "finite" in res.output
+    assert "NaN" not in res.output and not (tmp_path / "q.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["perturbed", "invariant"])
+def test_kernel_invert_kind_needs_psi(runner, kind, tmp_path):
+    out = tmp_path / "q.csv"
+    res = runner.invoke(main, ["kernel", "invert", "--kind", kind, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--psi" in res.output and not out.exists()
+    res = runner.invoke(main, ["kernel", "invert", "--kind", kind, "--psi", "builtin:psi_gaussian",
+                               "--grid", "h:-3:3:5,v:-3:3:7", "--out", str(out)])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["mass"] == pytest.approx(1.0)
+
+
+def _skip_reasons(result):
+    if result.skipped:
+        return [result.detail["skipped"]]
+    return [v for v in result.detail.values() if isinstance(v, str) and v.startswith("skipped:")]
+
+
+@pytest.mark.parametrize("spec", ["h2", "quaternionic"])
+@pytest.mark.parametrize("check", ["intertwine", "coeigen", "weyl", "plancherel"])
+def test_unsupported_parts_are_skipped_with_reason(spec, check):
+    # each run answers without a traceback and names what it could not run;
+    # the intertwining check still runs the relations that do not hard-code
+    # the first Heisenberg group and skips the others pair by pair
+    from importlib import resources
+
+    from carnot.groups import CarnotGroup
+    from carnot.verify import run_check
+
+    text = resources.files("carnot.specs").joinpath(f"{spec}.json").read_text()
+    result = run_check(check, G=CarnotGroup.from_dict(json.loads(text)))
+    assert result.passed
+    assert result.skipped == (check != "intertwine")
+    reasons = _skip_reasons(result)
+    assert reasons and all(len(r) > len("skipped: ") for r in reasons)

@@ -135,3 +135,15 @@ def test_json_roundtrip(tmp_path, h1):
 def test_element_rejects_nonfinite():
     with pytest.raises(GroupValidationError):
         GroupElement([np.nan, 0.0], [0.0])
+
+
+def test_omega_matches_bilinear_form():
+    rng = np.random.default_rng(12)
+    for G in (quaternionic_h_type(), free_step2(4), heisenberg(2)):
+        h1, h2 = rng.normal(size=(7, G.n)), rng.normal(size=(7, G.n))
+        direct = np.array([[a @ A @ b for A in G.A] for a, b in zip(h1, h2)])
+        assert np.allclose(G.omega(h1, h2), direct, rtol=0, atol=1e-13)
+        assert np.allclose(G.omega(h1[0], h2[0]), direct[0], rtol=0, atol=1e-13)
+        # one point against many broadcasts over the rows
+        assert np.allclose(G.omega(h1[0], h2), [[h1[0] @ A @ b for A in G.A] for b in h2],
+                           rtol=0, atol=1e-13)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from carnot.errors import DegenerateFrameError, UnsupportedOperationError
-from carnot.groups import CarnotGroup, free_step2, heisenberg
+from carnot._quadrature import composite_gl
+from carnot.groups import CarnotGroup, free_step2, h_type, heisenberg
 from carnot.kernels import (
     co_eigenfunction,
+    fourier_invert,
     group_convolve,
     heat_hat,
     heat_slice,
@@ -14,6 +16,8 @@ from carnot.kernels import (
     invariant_slice,
     invert_at,
     invert_to_grid,
+    mehler_area,
+    mehler_hat,
     perturbed_hat,
     perturbed_slice,
     vertical_charfn,
@@ -172,6 +176,59 @@ def test_vertical_charfn_perturbed():
     expected = math.exp(3.0 * (math.exp(-0.5) - 1.0)) / math.cosh(1.0)
     assert got.real == pytest.approx(expected, rel=1e-12)
     assert got.imag == pytest.approx(0.0, abs=1e-14)
+
+
+def test_mehler_hat_integrates_to_area_profile():
+    # int hat dz over the planes = exp(log amp) prod_j pi / coef_j = prod_j sech(eta_j t)
+    rng = np.random.default_rng(33)
+    for d in (1, 2, 3):
+        eta = rng.uniform(0.05, 8.0, size=(50, d))
+        t = rng.uniform(0.01, 5.0, size=(50, 1))
+        log_amp, coef = mehler_hat(eta, t)
+        sech, _ = mehler_area(eta, t)
+        assert np.max(eta * t) > 20.0
+        integral = np.exp(log_amp + np.sum(np.log(math.pi / coef), axis=-1))
+        assert np.allclose(integral, sech, rtol=1e-12, atol=0.0)
+    # closed forms where the direct sinh/cosh expressions do not overflow
+    eta, t = rng.uniform(0.1, 4.0, size=(20, 2)), 1.3
+    log_amp, coef = mehler_hat(eta, t)
+    direct = np.prod(eta / (2 * math.pi * 2 * np.sinh(eta * t)), axis=-1)
+    assert np.allclose(np.exp(log_amp), direct, rtol=1e-12, atol=0.0)
+    assert np.allclose(coef, eta / np.tanh(eta * t) / 4, rtol=1e-14, atol=0.0)
+    sech, area_coef = mehler_area(eta, t)
+    assert np.allclose(sech, np.prod(1 / np.cosh(eta * t), axis=-1), rtol=1e-14, atol=0.0)
+    assert np.allclose(area_coef, eta * np.tanh(eta * t) / 4, rtol=1e-14, atol=0.0)
+    # eta t = 40 exactly: the hat amplitude stays finite
+    log_amp, coef = mehler_hat(np.array([40.0]), 1.0)
+    sech, _ = mehler_area(np.array([40.0]), 1.0)
+    assert math.exp(log_amp + math.log(math.pi / coef[0])) == pytest.approx(sech, rel=1e-12)
+
+
+def test_fourier_invert_gaussian_closed_form():
+    # (2 pi)^{-1} int e^{-a lam^2} e^{-i lam v} dlam = (4 pi a)^{-1/2} e^{-v^2 / (4 a)}
+    lam, w = composite_gl(-40.0, 40.0, 200, 8)
+    v = np.linspace(-6.0, 6.0, 13)
+    one = fourier_invert(np.exp(-0.25 * lam**2), None, lam, w, v)
+    assert one.shape == v.shape
+    assert np.max(np.abs(one - np.exp(-(v**2)) / math.sqrt(math.pi))) < 1e-12
+    # 2600 rows run in two chunks of the 4e6-entry budget
+    a = np.linspace(0.0, 1.0, 2600)
+    rows = (len(a), lambda lo, hi: np.exp(-a[lo:hi, None] * lam[None, :] ** 2))
+    got = fourier_invert(np.exp(-0.25 * lam**2), rows, lam, w, v)
+    aa = 0.25 + a[:, None]
+    exact = np.exp(-(v[None, :] ** 2) / (4 * aa)) / np.sqrt(4 * math.pi * aa)
+    assert got.shape == (len(a), len(v))
+    assert np.max(np.abs(got - exact)) < 1e-12
+
+
+def test_inversion_rejects_m2_h_type_group():
+    # two anticommuting complex structures on R^4: an H-type group with m = 2
+    J1 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    J2 = [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]
+    G = h_type([J1, J2])
+    with pytest.raises(UnsupportedOperationError, match="m = 1"):
+        invert_to_grid(heat_slice(G, 0.5), [np.linspace(-1, 1, 3)] * 6)
+    assert vertical_charfn(G, None, 0.5, [0.6, 0.8]) == pytest.approx(1 / math.cosh(0.5) ** 2)
 
 
 def test_inversion_rejects_general_group():
