@@ -25,6 +25,10 @@ e^{-i lam v} dlam`` in :func:`fourier_invert`.  Hats and vertical
 characteristic functions are available on every step-2 group; real-space
 inversion (grids, point values) needs m = 1, where the oscillator planes
 do not move with ``lam``.
+
+The hat sees a horizontal point only through its per-plane squared radii
+and radical norm, so grids are inverted once per radius class of their
+points (408 classes for the 3721 points of the 61 x 61 co-eigen grid).
 """
 
 from __future__ import annotations
@@ -206,6 +210,9 @@ def invariant_slice(G, psi):
     return KernelSlice(group=G, kind="invariant", t=0.5, psi=psi)
 
 
+CLASS_DECIMALS = 12
+
+
 @dataclass
 class DensityGrid:
     """Sampled density on a tensor grid over (h, v)."""
@@ -249,14 +256,22 @@ class _HatProfile:
         z, r = F.T[: 2 * d] @ H.T, F.T[2 * d:] @ H.T
         return (z[:d] ** 2 + z[d:] ** 2).T, np.sum(r**2, axis=0)
 
+    def classes(self, H):
+        """``(zsq, rsq, inverse)``: :meth:`planes` of one row of ``H`` per class
+
+        of keys equal to ``CLASS_DECIMALS`` decimals, and each row's class."""
+        zsq, rsq = self.planes(H)
+        keys = np.round(np.column_stack([zsq, rsq]), CLASS_DECIMALS)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        return zsq[first], rsq[first], inverse.reshape(-1)
+
     def eta(self, lam):
         """Symplectic spectra (N_l, d) at the scalar frequencies ``lam``."""
         return np.abs(lam)[:, None] * self.eta_unit[None, :]
 
-    def values(self, H, lam_batch):
-        """Array of shape (len(H), len(lam_batch)); H rows are horizontal points."""
+    def values(self, zsq, rsq, lam_batch):
+        """Heat hats (len(zsq), len(lam_batch)), without the slice multiplier."""
         t = self.slice.t
-        zsq, rsq = self.planes(H)
         log_amp, coef = mehler_hat(self.eta(lam_batch[:, 0]), t)
         out = np.exp(log_amp[None, :] - np.einsum("hd,ld->hl", zsq, coef))
         if self.G.k > 0:
@@ -264,7 +279,7 @@ class _HatProfile:
                 (4 * math.pi * t) ** (-self.G.k / 2)
                 * np.exp(-rsq / (4 * t))
             )[:, None]
-        return out * self.slice.multiplier(lam_batch)[None, :]
+        return out
 
     def lambda_rule(self, vmax, tol=1e-12):
         """Oscillatory rule for ``|v| <= vmax`` up to the frequency cutoff
@@ -289,6 +304,10 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
     the vertical one; only m = 1 is supported.  Returns a
     :class:`DensityGrid`; when ``calibrate`` is true the values are scaled
     to unit trapezoidal mass and the constant stored in ``meta``.
+
+    Hat and inversion run once per radius class of the points, copied to the
+    class: keys within 1e-12 move a hat by < 1e-12 * max coef relative, 2e-11
+    at the co-eigen cutoff |lam| = 86 (coef <= 22); 1.4e-15 of the max measured.
     """
     G = slice_.group
     profile = _HatProfile(slice_)
@@ -298,14 +317,17 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
     V = axes[G.n]
     lam, w = profile.lambda_rule(float(np.max(np.abs(V))))
     lam_batch = lam[:, None]
-    mult = vertical_multiplier(lam_batch) if vertical_multiplier is not None else 1.0
+    env = slice_.multiplier(lam_batch)
+    if vertical_multiplier is not None:
+        env = env * vertical_multiplier(lam_batch)
+    zsq, rsq, inverse = profile.classes(H)
 
     def hats(lo, hi):
-        return profile.values(H[lo:hi], lam_batch) * mult
+        return profile.values(zsq[lo:hi], rsq[lo:hi], lam_batch)
 
-    vals = fourier_invert(1.0, (len(H), hats), lam, w, V)
+    vals = fourier_invert(env, (len(zsq), hats), lam, w, V)
     shape = tuple(len(ax) for ax in axes)
-    values = vals.real.reshape(shape)
+    values = vals.real[inverse].reshape(shape)
     grid = DensityGrid(axes=list(axes), values=values,
                        meta={"kind": slice_.kind, "t": slice_.t})
     if calibrate:
@@ -321,7 +343,8 @@ def invert_at(slice_: KernelSlice, h, v, tol=1e-12):
     profile = _HatProfile(slice_)
     v = np.atleast_1d(np.asarray(v, dtype=float))[:1]
     lam, w = profile.lambda_rule(abs(float(v[0])) + 1.0, tol)
-    W = profile.values(np.asarray(h, dtype=float)[None, :], lam[:, None])[0]
+    zsq, rsq = profile.planes(np.asarray(h, dtype=float)[None, :])
+    W = profile.values(zsq, rsq, lam[:, None])[0] * slice_.multiplier(lam[:, None])
     return float(fourier_invert(W, None, lam, w, v)[0].real) * slice_.c_norm
 
 

@@ -264,11 +264,13 @@ def ou_apply_vertical(G, psi, t, f_hat, H, V):
     where Xi is the area characteristic function at horizon
     ``s = (1 - e^{-2t}) / 2`` (:func:`~carnot.kernels.mehler_area`).
     Matches the reflected-drive convention of the stationary density.
+    Rows are computed once per radius class of H, as in ``invert_to_grid``.
     """
     lam, w = LAM_RULE
     s = (1.0 - math.exp(-2.0 * t)) / 2.0
     profile = _HatProfile(heat_slice(G, s))
-    hsq = profile.planes(np.atleast_2d(H))[0] * math.exp(-2.0 * t)
+    zsq, _, inverse = profile.classes(np.atleast_2d(H))
+    hsq = zsq * math.exp(-2.0 * t)
     sech, coef = mehler_area(profile.eta(lam), s)                # (L,), (L, d)
     mult = np.ones_like(lam, dtype=complex)
     if psi is not None and not psi.is_trivial:
@@ -278,7 +280,7 @@ def ou_apply_vertical(G, psi, t, f_hat, H, V):
         return sech[None, :] * np.exp(-np.einsum("nd,ld->nl", hsq[lo:hi], coef))
 
     v = math.exp(-2 * t) * np.asarray(V, dtype=float)
-    return fourier_invert(f_hat(lam) * mult, (len(hsq), xi), lam, w, v)
+    return fourier_invert(f_hat(lam) * mult, (len(hsq), xi), lam, w, v)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +469,9 @@ def _lambda_residual(G, psi, t, test, tol):
     vx = np.linspace(-3.6, 3.6, 49)
     qgrid = invert_to_grid(heat_slice(G, 0.5), [hx, hx, vx], calibrate=False)
     H = np.stack([c.ravel() for c in np.meshgrid(hx, hx, indexing="ij")], axis=1)
-    rhs = np.empty(len(v_targets))
-    for i, v0 in enumerate(v_targets):
-        pf = ou_apply_vertical(G, psi, t, f_hat, H, v0 + vx)
-        pf = pf.real.reshape(len(hx), len(hx), len(vx))
-        integ = np.trapezoid(np.trapezoid(np.trapezoid(pf * qgrid.values, vx), hx), hx)
-        rhs[i] = integ
+    pf = ou_apply_vertical(G, psi, t, f_hat, H, (v_targets[:, None] + vx).ravel()).real
+    pf = pf.reshape(len(hx), len(hx), len(v_targets), len(vx)) * qgrid.values[:, :, None, :]
+    rhs = np.trapezoid(np.trapezoid(np.trapezoid(pf, vx), hx, axis=0), hx, axis=0)
     res = float(np.max(np.abs(lhs.real - rhs)))
     return IntertwinerReport("lambda", f"gaussian(a={a})", t, res, tol if tol else 1e-4)
 
@@ -618,6 +617,8 @@ def weighted_gram(G, psi, cap=2, axes=None):
 
     computed by grid quadrature against the inverted density.
     """
+    if G.n != 2 or G.m != 1:
+        raise UnsupportedOperationError("weighted Gram implemented for n = 2, m = 1")
     if axes is None:
         axes = [np.linspace(-5.0, 5.0, 61), np.linspace(-5.0, 5.0, 61),
                 np.linspace(-6.0, 6.0, 61)]

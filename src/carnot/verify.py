@@ -133,18 +133,18 @@ def check_marginal(G=None, t=0.5, tol=1e-5, exponents=None):
     """
     G = G or heisenberg(1)
     exps = _named_exponents(exponents, ("none", "gaussian"))
-    hx = np.linspace(-2.0, 2.0, 5)
-    hy = np.linspace(-1.5, 1.5, 4)
+    pair = (np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 4))
+    h_axes = [pair[i % 2] for i in range(G.n)]
     v = np.linspace(-9.0, 9.0, 241)
+    hsq = sum(c**2 for c in np.meshgrid(*h_axes, indexing="ij"))
+    euclid = (4 * math.pi * t) ** (-G.n / 2) * np.exp(-hsq / (4 * t))
     ok = True
     detail = {"tol": tol}
     worst = 0.0
     for name, psi in exps.items():
         sl = heat_slice(G, t) if psi is None else perturbed_slice(G, psi, t)
-        grid = invert_to_grid(sl, [hx, hy, v], calibrate=False)
-        marg = np.trapezoid(grid.values, v, axis=2)
-        X, Y = np.meshgrid(hx, hy, indexing="ij")
-        euclid = (4 * math.pi * t) ** (-G.n / 2) * np.exp(-(X**2 + Y**2) / (4 * t))
+        grid = invert_to_grid(sl, h_axes + [v], calibrate=False)
+        marg = np.trapezoid(grid.values, v, axis=-1)
         err = float(np.max(np.abs(marg - euclid)))
         heavy = psi is not None and not psi.in_N_exp
         bound = max(tol, 5e-3) if heavy else tol
@@ -160,6 +160,8 @@ def check_marginal(G=None, t=0.5, tol=1e-5, exponents=None):
 def check_kernel_semigroup(G=None, tol=1e-3, nodes=41):
     """Convolution square of the half-time kernel equals the full kernel."""
     G = G or heisenberg(1)
+    if G.n != 2 or G.m != 1:
+        raise UnsupportedOperationError("grid convolution implemented for n = 2, m = 1")
     ax = [np.linspace(-4.5, 4.5, nodes), np.linspace(-4.5, 4.5, nodes),
           np.linspace(-3.5, 3.5, nodes)]
     q_half = invert_to_grid(heat_slice(G, 0.5), ax, calibrate=False)

@@ -233,3 +233,23 @@ def test_unsupported_parts_are_skipped_with_reason(spec, check):
     assert result.skipped == (check != "intertwine")
     reasons = _skip_reasons(result)
     assert reasons and all(len(r) > len("skipped: ") for r in reasons)
+
+
+@pytest.mark.parametrize("check", ["marginal", "semigroup", "nonnormal"])
+def test_h2_grid_checks_answer_or_skip(check):
+    # the marginal cycles its two horizontal axes over the four coordinates;
+    # the grid convolution and the grid Gram are first-Heisenberg only
+    from importlib import resources
+
+    from carnot.groups import CarnotGroup
+    from carnot.verify import run_check
+
+    text = resources.files("carnot.specs").joinpath("h2.json").read_text()
+    result = run_check(check, G=CarnotGroup.from_dict(json.loads(text)))
+    assert result.passed
+    assert result.skipped == (check != "marginal")
+    if check == "marginal":
+        assert result.detail["max_abs_err"] < result.detail["tol"]
+    else:
+        reasons = _skip_reasons(result)
+        assert reasons and "n = 2, m = 1" in reasons[0]

@@ -237,6 +237,47 @@ def test_inversion_rejects_general_group():
         invert_to_grid(heat_slice(G, 0.5), [np.linspace(-1, 1, 3)] * 6)
 
 
+RADICAL = CarnotGroup(3, 1, [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]])
+
+
+def _sample_rows(shape, rng, count=10):
+    # random points and their mirror images, which share a radius class
+    idx = [tuple(int(rng.integers(0, n)) for n in shape) for _ in range(count)]
+    return idx + [tuple(n - 1 - i for n, i in zip(shape, ix)) for ix in idx]
+
+
+@pytest.mark.parametrize("case", ["heat-h1", "invariant-multiplier-h1", "radical", "h2"])
+def test_grid_rows_equal_one_point_grids(case):
+    # the hat is inverted once per radius class and copied to every point of
+    # the class; each copied row must be the row of its own one-point grid
+    v = np.linspace(-3.0, 3.0, 21)
+    vm = None
+
+    def axis(*base):
+        # symmetric, with near-duplicate nodes whose radii differ by 1e-5 and
+        # 1e-10: those points share a class only if the keys are too coarse
+        base = np.array((0.0,) + base)
+        return np.concatenate([-base[:0:-1], base])
+
+    h1_axes = [axis(0.4, 1.1, 1.1 + 1e-5, 1.8, 1.8 + 1e-10, 2.6)] * 2
+    if case == "heat-h1":
+        sl, h_axes = heat_slice(H1, 0.5), h1_axes
+    elif case == "invariant-multiplier-h1":
+        sl, h_axes = invariant_slice(H1, PSI_GAUSS), h1_axes
+        vm = lambda lam_batch: -1j * lam_batch[:, 0]
+    elif case == "radical":
+        sl, h_axes = heat_slice(RADICAL, 0.7), [axis(1.1, 1.1 + 1e-5, 1.1 + 1e-10)] * 3
+    else:
+        sl, h_axes = heat_slice(heisenberg(2), 0.5), [axis(1.1, 1.1 + 1e-10)] * 4
+    grid = invert_to_grid(sl, h_axes + [v], calibrate=False, vertical_multiplier=vm)
+    scale = np.max(np.abs(grid.values))
+    rng = np.random.default_rng(33)
+    for ix in _sample_rows(grid.values.shape[:-1], rng):
+        point = [[ax[i]] for ax, i in zip(h_axes, ix)]
+        one = invert_to_grid(sl, point + [v], calibrate=False, vertical_multiplier=vm)
+        assert np.max(np.abs(grid.values[ix] - one.values.ravel())) <= 1e-13 * scale
+
+
 def test_co_eigenfunction_beta_zero():
     ax = [np.linspace(-3, 3, 9), np.linspace(-3, 3, 9), np.linspace(-3, 3, 11)]
     J = co_eigenfunction(H1, None, [0], ax)

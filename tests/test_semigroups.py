@@ -14,6 +14,7 @@ from carnot.semigroups import (
     gamma_shift,
     intertwine_residual,
     nonnormality_witness,
+    ou_apply_vertical,
     weighted_gram,
 )
 
@@ -147,6 +148,20 @@ def test_intertwine_lp_exact(psi):
 def test_intertwine_lambda_quadrature(psi):
     rep = intertwine_residual("lambda", G, psi, 0.3)
     assert rep.residual < 1e-4
+
+
+def test_ou_apply_vertical_follows_row_permutation():
+    # rows are computed once per radius class; permuting the horizontal
+    # points (and so the class representatives) permutes the output rows
+    x = np.linspace(-2.0, 2.0, 9)
+    H = np.stack([c.ravel() for c in np.meshgrid(x, x, indexing="ij")], axis=1)
+    f_hat = lambda lam: np.sqrt(math.pi) * np.exp(1j * 0.8 * lam - lam**2 / 4)
+    V = np.linspace(-2.0, 2.0, 11)
+    perm = np.random.default_rng(34).permutation(len(H))
+    base = ou_apply_vertical(G, PSI_CP, 0.4, f_hat, H, V)
+    moved = ou_apply_vertical(G, PSI_CP, 0.4, f_hat, H[perm], V)
+    assert base.shape == (len(H), len(V))
+    assert np.max(np.abs(moved - base[perm])) <= 1e-13 * np.max(np.abs(base))
 
 
 def test_intertwine_tbk_with_drift():
