@@ -49,6 +49,7 @@ from .spectral import frame_at
 __all__ = [
     "SemigroupOperator",
     "gamma_shift",
+    "stationary_expectation",
     "eigen_decomposition",
     "IntertwinerReport",
     "intertwine_residual",
@@ -141,12 +142,25 @@ def gamma_shift(psi, p: GradedPolynomial) -> GradedPolynomial:
     return p.shift_v_by_moments(moments)
 
 
+def _q_half_gamma(G, psi, p):
+    """``Q_{1/2} Gamma p``: the stationary vertical shift, then heat to time 1/2."""
+    return _heat_apply(G, None, 0.5, gamma_shift(psi, p))
+
+
+def stationary_expectation(G, psi, p: GradedPolynomial):
+    """``E_mu[p]`` under the stationary law mu of the perturbed
+
+    Ornstein-Uhlenbeck semigroup: ``(Q_{1/2} Gamma p)(e)``.  The
+    intertwining ``Q_{1/2} Gamma P_t = d_{e^{-t}} Q_{1/2} Gamma`` fixes the
+    identity, so this functional is invariant for ``generator_matrix``.
+    Exact (Fractions) when ``p`` and the stationary moments are rational.
+    """
+    return _q_half_gamma(G, psi, p).terms.get(((0,) * G.n, (0,) * G.m), 0)
+
+
 def q_half_gamma_matrix(G, psi, cap):
     """Matrix of ``Q_{1/2} Gamma`` on the graded monomial basis."""
-    def op(p):
-        return _heat_apply(G, None, 0.5, gamma_shift(psi, p))
-
-    return operator_matrix(op, G.n, G.m, cap)
+    return operator_matrix(lambda p: _q_half_gamma(G, psi, p), G.n, G.m, cap)
 
 
 def eigen_decomposition(G, psi, cap, t=1.0):
@@ -414,8 +428,8 @@ def _lp_residual(G, psi, t, test, rng, tol):
     """
     p = _poly_test(G, test, rng)
     evolved = SemigroupOperator("levy-ou", G, psi, t).apply_to_polynomial(p)
-    lhs = _heat_apply(G, None, 0.5, gamma_shift(psi, evolved))
-    rhs = _heat_apply(G, None, 0.5, gamma_shift(psi, p)).dilate(math.exp(-t))
+    lhs = _q_half_gamma(G, psi, evolved)
+    rhs = _q_half_gamma(G, psi, p).dilate(math.exp(-t))
     res = _poly_sup(lhs, rhs, _standard_nodes(G, rng))
     return IntertwinerReport("lp", test or "poly", t, res, tol if tol else 1e-12)
 
@@ -612,42 +626,24 @@ def coeigen_residual(G, psi, beta, t, test="v", axes=None, tol=1e-3):
 # stationary-measure linear algebra
 # ---------------------------------------------------------------------------
 
-def weighted_gram(G, psi, cap=2, axes=None):
-    """Gram matrix of the graded monomial basis under the stationary density,
+def weighted_gram(G, psi, cap=2):
+    """Gram matrix ``E_mu[b_i b_j]`` of the graded monomial basis under the
 
-    computed by grid quadrature against the inverted density.
+    stationary law, exact through :func:`stationary_expectation`; each
+    distinct product monomial is integrated once.
     """
-    if G.n != 2 or G.m != 1:
-        raise UnsupportedOperationError("weighted Gram implemented for n = 2, m = 1")
-    if axes is None:
-        axes = [np.linspace(-5.0, 5.0, 61), np.linspace(-5.0, 5.0, 61),
-                np.linspace(-6.0, 6.0, 61)]
-    grid = invert_to_grid(invariant_slice(G, psi), axes, calibrate=True)
     basis = monomial_basis(G.n, G.m, cap)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    mono = []
-    for alpha, gamma in basis:
-        term = np.ones_like(grid.values)
-        for i, p in enumerate(alpha):
-            if p:
-                term = term * mesh[i] ** p
-        for l, p in enumerate(gamma):
-            if p:
-                term = term * mesh[G.n + l] ** p
-        mono.append(term)
+    monos = [GradedPolynomial.monomial(G.n, G.m, a, g) for a, g in basis]
+    moments = {}
     gram = np.empty((len(basis), len(basis)))
     for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            val = float(
-                np.trapezoid(
-                    np.trapezoid(
-                        np.trapezoid(mono[i] * mono[j] * grid.values, axes[2]), axes[1]
-                    ),
-                    axes[0],
-                )
-            )
-            gram[i, j] = gram[j, i] = val
-    return basis, gram, grid
+        for j in range(i + 1):
+            prod = monos[i] * monos[j]
+            (key,) = prod.terms
+            if key not in moments:
+                moments[key] = float(stationary_expectation(G, psi, prod))
+            gram[i, j] = gram[j, i] = moments[key]
+    return basis, gram
 
 
 def nonnormality_witness(G, psi, t=1.0, cap=3):
@@ -660,7 +656,7 @@ def nonnormality_witness(G, psi, t=1.0, cap=3):
     on degree 3, where eigenfunctions with distinct eigenvalues overlap:
     e.g. ``<h2 v - h1/2, h1> = -1/2`` on the first Heisenberg group.
     """
-    basis, gram, _ = weighted_gram(G, psi, cap=cap)
+    basis, gram = weighted_gram(G, psi, cap=cap)
     gm = generator_matrix(G, psi, cap)
     M = expm(t * gm.entries)
     gram_inv = np.linalg.inv(gram)

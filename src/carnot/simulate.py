@@ -15,8 +15,7 @@ Fourier (Karhunen-Loeve) series of the Levy area given the endpoint
 ``K = ceil(sqrt(steps))`` modes, plus the remaining tail as a Gaussian with
 its exact covariance given the endpoint (Wiktorsson, Ann. Appl. Probab. 11,
 2001).  ``steps_per_unit`` stays the accuracy setting: K modes match the
-strong error of that many Euler steps.  Antithetic pairs are reflected
-paths ``B -> -B`` that share their area.
+strong error of that many Euler steps.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ class PathConfig:
     steps_per_unit: int = 4096
     paths: int = 10_000
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -90,7 +88,7 @@ def _map_chunks(fn, sizes, streams):
         return list(pool.map(fn, sizes, streams))
 
 
-def _brownian_with_area(G, t, steps, size, rng, antithetic=False):
+def _brownian_with_area(G, t, steps, size, rng):
     """Terminal (B_t, area_t) with area = int omega(B, dB) / 2, sampled
 
     without time steps from the Fourier (Karhunen-Loeve) series of the Levy
@@ -110,28 +108,20 @@ def _brownian_with_area(G, t, steps, size, rng, antithetic=False):
     drawn as ``sqrt(s_K) (M0^{1/2} z1 + omega(z2, u))`` with
     ``M0[l, l'] = tr(A_l A_l'^T)``.  The strong error is O(1/K), matching
     Euler's O(steps^-1/2).
-
-    Antithetic pairs are the reflected paths W -> -W; the area is even under
-    the reflection, so a pair shares its area and antithetics only help the
-    horizontal moments.
     """
     K = math.ceil(math.sqrt(steps))
-    half = (size + 1) // 2 if antithetic else size
-    W = rng.standard_normal((half, G.n)) * math.sqrt(t)
+    W = rng.standard_normal((size, G.n)) * math.sqrt(t)
     u = math.sqrt(2.0 / t) * W
-    S = np.zeros((half, G.m))
+    S = np.zeros((size, G.m))
     for k in range(1, K + 1):
-        X = rng.standard_normal((half, G.n))
-        S += G.omega(X, rng.standard_normal((half, G.n)) + u) / k
+        X = rng.standard_normal((size, G.n))
+        S += G.omega(X, rng.standard_normal((size, G.n)) + u) / k
     s_K = math.pi**2 / 6.0 - sum(1.0 / (k * k) for k in range(1, K + 1))
     w, Q = np.linalg.eigh(np.einsum("lij,pij->lp", G.A, G.A))
     root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
-    z1 = rng.standard_normal((half, G.m))
-    S += math.sqrt(s_K) * (z1 @ root + G.omega(rng.standard_normal((half, G.n)), u))
-    B, V = math.sqrt(2.0) * W, (t / math.pi) * S
-    if antithetic:
-        B, V = np.concatenate([B, -B])[:size], np.concatenate([V, V])[:size]
-    return B, V
+    z1 = rng.standard_normal((size, G.m))
+    S += math.sqrt(s_K) * (z1 @ root + G.omega(rng.standard_normal((size, G.n)), u))
+    return math.sqrt(2.0) * W, (t / math.pi) * S
 
 
 def simulate_levy_on_group(G: CarnotGroup, psi, cfg: PathConfig):
@@ -148,7 +138,7 @@ def simulate_levy_on_group(G: CarnotGroup, psi, cfg: PathConfig):
     streams = master.spawn(len(sizes))
 
     def work(size, rng):
-        B, V = _brownian_with_area(G, t, cfg.steps, size, rng, cfg.antithetic)
+        B, V = _brownian_with_area(G, t, cfg.steps, size, rng)
         if psi is not None and not psi.is_trivial:
             V = V + psi.sample_increments(t, rng, size)
         return B, V
@@ -187,7 +177,7 @@ def simulate_levy_ou(G: CarnotGroup, psi, cfg: PathConfig, x0=None):
     decay_h, decay_v = math.exp(-T), math.exp(-2.0 * T)
 
     def work(size, rng):
-        B, A = _brownian_with_area(G, s, steps, size, rng, cfg.antithetic)
+        B, A = _brownian_with_area(G, s, steps, size, rng)
         vstart = np.broadcast_to(v0, (size, G.m)).copy()
         if psi is not None and not psi.is_trivial:
             vstart = vstart - psi.sample_deformed(T, rng, size)

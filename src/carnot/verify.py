@@ -56,12 +56,14 @@ def _round(v):
     return v
 
 
-def default_exponents():
+def default_exponents(m=1):
+    """The named exponents of the checks on an m-dimensional vertical layer."""
+    eye = np.eye(m)
     return {
         "none": None,
-        "gaussian": LevyExponent(sigma=[[1.0]]),
-        "cp": LevyExponent(jumps=CompoundPoisson(3.0, NormalDist([0.0], [[1.0]])), m=1),
-        "gaussian-drift": LevyExponent(sigma=[[1.0]], b=[0.5]),
+        "gaussian": LevyExponent(sigma=eye),
+        "cp": LevyExponent(jumps=CompoundPoisson(3.0, NormalDist(np.zeros(m), eye)), m=m),
+        "gaussian-drift": LevyExponent(sigma=eye, b=0.5 * eye[0]),
     }
 
 
@@ -93,7 +95,7 @@ def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
     the vertical perturbation.
     """
     G = G or heisenberg(1)
-    exps = exponents or default_exponents()
+    exps = exponents or default_exponents(G.m)
     reference = None
     detail = {}
     ok = True
@@ -114,13 +116,13 @@ def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
     return CheckResult("isospectrality", ok, detail)
 
 
-def _named_exponents(spec, default_names):
+def _named_exponents(spec, default_names, m):
     """Accept a dict of named exponents or a tuple of default-set names."""
     if spec is None:
         spec = default_names
     if isinstance(spec, dict):
         return dict(spec)
-    base = default_exponents()
+    base = default_exponents(m)
     return {name: base[name] for name in spec}
 
 
@@ -132,7 +134,7 @@ def check_marginal(G=None, t=0.5, tol=1e-5, exponents=None):
     run at a relaxed, documented tolerance.
     """
     G = G or heisenberg(1)
-    exps = _named_exponents(exponents, ("none", "gaussian"))
+    exps = _named_exponents(exponents, ("none", "gaussian"), G.m)
     pair = (np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 4))
     h_axes = [pair[i % 2] for i in range(G.n)]
     v = np.linspace(-9.0, 9.0, 241)
@@ -181,7 +183,7 @@ def check_mc_vs_kernel(G=None, t=1.0, paths=100_000, seed=7,
     for small path counts).
     """
     G = G or heisenberg(1)
-    exps = _named_exponents(exponents, ("none", "cp"))
+    exps = _named_exponents(exponents, ("none", "cp"), G.m)
     ok = True
     detail = {"seed": seed}
     for name, psi in exps.items():
@@ -208,7 +210,7 @@ def check_intertwinings(G=None, t=0.5, exponents=None):
     dimension differs from the vertical layer's, are reported as skipped.
     """
     G = G or heisenberg(1)
-    exps = exponents or {k: v for k, v in default_exponents().items() if k != "gaussian-drift"}
+    exps = exponents or {k: v for k, v in default_exponents(G.m).items() if k != "gaussian-drift"}
     reports = []
     skipped = {}
 
@@ -241,7 +243,7 @@ def check_intertwinings(G=None, t=0.5, exponents=None):
 def check_coeigenfunction(G=None, exponents=("none", "gaussian"), tol=1e-3):
     """Weak-form adjoint eigenfunction relation at two horizons."""
     G = G or heisenberg(1)
-    exps = default_exponents()
+    exps = default_exponents(G.m)
     ok = True
     detail = {}
     for name in exponents:
@@ -330,7 +332,7 @@ def check_stationary_law(G=None, paths=100_000, seed=41, exponents=None,
     against the stationary hat, within three Monte Carlo standard errors.
     """
     G = G or heisenberg(1)
-    exps = _named_exponents(exponents, ("gaussian", "cp"))
+    exps = _named_exponents(exponents, ("gaussian", "cp"), G.m)
     ok = True
     detail = {"seed": seed}
     for name, psi in exps.items():
@@ -369,7 +371,7 @@ def check_spectrum_description(G=None, seed=8, samples=200):
     ok &= bool(vals.min() < -100.0)
     ray = [desc.sample([0] * G.d, np.full(G.m, eps)).real for eps in (1e-1, 1e-2, 1e-3)]
     ok &= abs(ray[-1]) < 1e-2
-    exps = default_exponents()
+    exps = default_exponents(G.m)
     drift_desc = spectrum_of_generator(G, exps["gaussian-drift"])
     ok &= drift_desc.kind == "parametric-set"
     full_desc = spectrum_of_generator(G, exps["gaussian"])

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from carnot.cli import main
+from carnot.verify import QUICK, run_check
 
 
 @pytest.fixture
@@ -216,40 +217,54 @@ def _skip_reasons(result):
     return [v for v in result.detail.values() if isinstance(v, str) and v.startswith("skipped:")]
 
 
+def _builtin_group(spec):
+    from importlib import resources
+
+    from carnot.groups import CarnotGroup
+
+    text = resources.files("carnot.specs").joinpath(f"{spec}.json").read_text()
+    return CarnotGroup.from_dict(json.loads(text))
+
+
 @pytest.mark.parametrize("spec", ["h2", "quaternionic"])
 @pytest.mark.parametrize("check", ["intertwine", "coeigen", "weyl", "plancherel"])
 def test_unsupported_parts_are_skipped_with_reason(spec, check):
     # each run answers without a traceback and names what it could not run;
     # the intertwining check still runs the relations that do not hard-code
-    # the first Heisenberg group and skips the others pair by pair
-    from importlib import resources
-
-    from carnot.groups import CarnotGroup
-    from carnot.verify import run_check
-
-    text = resources.files("carnot.specs").joinpath(f"{spec}.json").read_text()
-    result = run_check(check, G=CarnotGroup.from_dict(json.loads(text)))
+    # the first Heisenberg group (the exact polynomial shifts among them, on
+    # exponents of the group's vertical dimension) and skips the others pair
+    # by pair
+    result = run_check(check, G=_builtin_group(spec))
     assert result.passed
     assert result.skipped == (check != "intertwine")
     reasons = _skip_reasons(result)
     assert reasons and all(len(r) > len("skipped: ") for r in reasons)
+    if check == "intertwine":
+        assert {"gamma:mixed", "lp:mixed"} <= set(result.detail)
 
 
 @pytest.mark.parametrize("check", ["marginal", "semigroup", "nonnormal"])
 def test_h2_grid_checks_answer_or_skip(check):
     # the marginal cycles its two horizontal axes over the four coordinates;
-    # the grid convolution and the grid Gram are first-Heisenberg only
-    from importlib import resources
-
-    from carnot.groups import CarnotGroup
-    from carnot.verify import run_check
-
-    text = resources.files("carnot.specs").joinpath("h2.json").read_text()
-    result = run_check(check, G=CarnotGroup.from_dict(json.loads(text)))
+    # the witness uses the exact stationary Gram; the grid convolution is
+    # first-Heisenberg only
+    result = run_check(check, G=_builtin_group("h2"))
     assert result.passed
-    assert result.skipped == (check != "marginal")
+    assert result.skipped == (check == "semigroup")
     if check == "marginal":
         assert result.detail["max_abs_err"] < result.detail["tol"]
+    elif check == "nonnormal":
+        assert result.detail["commutator_norm"] > 1e-6
     else:
         reasons = _skip_reasons(result)
         assert reasons and "n = 2, m = 1" in reasons[0]
+
+
+@pytest.mark.parametrize("spec", ["h2", "quaternionic"])
+@pytest.mark.parametrize("check", list(QUICK) + ["nonnormal"])
+def test_quick_checks_pass_or_skip(spec, check):
+    result = run_check(check, G=_builtin_group(spec))
+    assert result.passed
+    if result.skipped:
+        reasons = _skip_reasons(result)
+        assert reasons and all(len(r) > len("skipped: ") for r in reasons)

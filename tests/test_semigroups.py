@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from carnot.groups import heisenberg
+from carnot.groups import free_step2, heisenberg
 from carnot.levy import CompoundPoisson, LevyExponent, NormalDist
 from carnot.polynomials import GradedPolynomial, generator_matrix
 from carnot.semigroups import (
@@ -17,6 +17,7 @@ from carnot.semigroups import (
     ou_apply_vertical,
     weighted_gram,
 )
+from carnot.verify import default_exponents, run_check
 
 G = heisenberg(1)
 PSI_GAUSS = LevyExponent(sigma=[[1.0]])
@@ -205,25 +206,46 @@ def test_coeigen_bump_and_antisymmetric(psi):
 
 
 def test_weighted_gram_moments():
-    basis, gram, _ = weighted_gram(G, None, cap=2)
+    basis, gram = weighted_gram(G, None, cap=2)
     idx = {key: i for i, key in enumerate(basis)}
     one_i = idx[((0, 0), (0,))]
     v_i = idx[((0, 0), (1,))]
     h1sq_i = idx[((2, 0), (0,))]
-    assert gram[one_i, one_i] == pytest.approx(1.0, abs=2e-4)
-    assert gram[v_i, v_i] == pytest.approx(0.25, abs=2e-4)  # squared area at t=1/2
-    assert gram[h1sq_i, one_i] == pytest.approx(1.0, abs=2e-4)
-    assert gram[h1sq_i, h1sq_i] == pytest.approx(3.0, abs=1e-3)
-    assert abs(gram[v_i, one_i]) < 1e-6
+    assert gram[one_i, one_i] == pytest.approx(1.0, abs=1e-12)
+    assert gram[v_i, v_i] == pytest.approx(0.25, abs=1e-12)  # squared area at t=1/2
+    assert gram[h1sq_i, one_i] == pytest.approx(1.0, abs=1e-12)
+    assert gram[h1sq_i, h1sq_i] == pytest.approx(3.0, abs=1e-12)
+    assert abs(gram[v_i, one_i]) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["none", "gaussian", "cp", "gaussian-drift"])
+def test_stationary_row_is_invariant(name):
+    # the constant row of the Gram is the stationary law on the basis; the
+    # polynomial semigroup preserves it (drift convention: E[v] = +b/2)
+    psi = default_exponents()[name]
+    basis, gram = weighted_gram(G, psi, cap=3)
+    gm = generator_matrix(G, psi, 3)
+    assert gm.basis == basis
+    row = gram[basis.index(((0, 0), (0,)))]
+    for t in (0.3, 1.0, 5.0):
+        assert np.max(np.abs(row @ expm(t * gm.entries) - row)) < 1e-12
+    drift = psi.b[0] if psi is not None else 0.0
+    assert row[basis.index(((0, 0), (1,)))] == pytest.approx(drift / 2, abs=1e-12)
 
 
 def test_nonnormality_witness():
     # the degree-2 compression is exactly normal; degree 3 is not
-    basis, gram, _ = weighted_gram(G, None, cap=2)
+    basis, gram = weighted_gram(G, None, cap=2)
     gm = generator_matrix(G, None, 2)
     M = expm(1.0 * gm.entries)
     M_adj = np.linalg.inv(gram) @ M.T @ gram
-    assert np.linalg.norm(M_adj @ M - M @ M_adj) < 1e-3
+    assert np.linalg.norm(M_adj @ M - M @ M_adj) < 1e-12
     w = nonnormality_witness(G, None, 1.0)
     assert w > 1e-6
     assert w > 0.1  # degree-3 overlap <h2 v - h1/2, h1> = -1/2 makes it large
+
+
+def test_nonnormality_on_free_step2():
+    res = run_check("nonnormal", G=free_step2(3))
+    assert res.passed and not res.skipped
+    assert res.detail["commutator_norm"] > 1e-6

@@ -20,9 +20,8 @@ G = heisenberg(1)
 PSI_CP = LevyExponent(jumps=CompoundPoisson(3.0, NormalDist([0.0], [[1.0]])), m=1)
 
 
-def cfg(paths=10_000, t=1.0, seed=7, steps=1024, antithetic=False):
-    return PathConfig(horizon=t, steps_per_unit=steps, paths=paths, seed=seed,
-                      antithetic=antithetic)
+def cfg(paths=10_000, t=1.0, seed=7, steps=1024):
+    return PathConfig(horizon=t, steps_per_unit=steps, paths=paths, seed=seed)
 
 
 def test_config_validation():
@@ -106,14 +105,6 @@ def test_estimator_basics():
     assert est.values[0] == pytest.approx(1.0) and est.stderr[0] == 0.0
     assert abs(est.values[1] - math.exp(-0.25)) < 3 * est.stderr[1]
     assert est.check_modulus()
-
-
-def test_antithetic_agreement():
-    a = simulate_levy_on_group(G, None, cfg(paths=30_000, seed=3))
-    b = simulate_levy_on_group(G, None, cfg(paths=30_000, seed=4, antithetic=True))
-    ea = estimate_charfn(a[1], [[1.0]])
-    eb = estimate_charfn(b[1], [[1.0]])
-    assert abs(ea.values[0] - eb.values[0]) < 3 * (ea.stderr[0] + eb.stderr[0])
 
 
 def test_ou_horizontal_marginal_gaussian():
