@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quadrature import oscillatory_rule, trapezoid_nd
 from .errors import UnsupportedOperationError
@@ -388,10 +389,15 @@ def co_eigenfunction(G: CarnotGroup, psi, beta, axes, floor=1e-300):
 def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
     """Group convolution ``(f * g)(x) = int f(y) g(y^{-1} x) dy`` of two grids
 
-    on the same axes (layout: two horizontal axes, one vertical axis, all
-    uniform).  Uses ``y^{-1} x = (x_h - y_h, x_v - y_v - omega(y_h, x_h)/2)``:
-    Simpson weights over y, an FFT convolution along the vertical fiber, and
-    linear sampling at the twisted vertical shift.
+    on the same uniform axes, the two horizontal ones with a node at 0
+    (``ValueError`` otherwise): a Simpson sum over y of the vertical linear
+    convolutions ``f(y, .) * g(x_h - y_h, .)`` of length ``L = 2 n_v - 1``,
+    sampled at ``x_v - omega(y_h, x_h)/2`` by Catmull-Rom interpolation,
+    linear on the end intervals of the block and zero beyond.  Per pair
+    (x, y) the sample is one 4-tap filter, an rfft-side multiplier (one
+    irfft per y), read at an integer window offset; block cells 0, L - 2
+    and L - 1, where the filter wraps, take the edge rule from the raw block
+    values.  Pairs whose window misses the block are skipped.
     """
     if G.n != 2 or G.m != 1:
         raise UnsupportedOperationError("grid convolution implemented for n=2, m=1")
@@ -399,66 +405,59 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
     if any(len(a) != len(b) or np.max(np.abs(a - b)) > 0 for a, b in zip(ax, grid_g.axes)):
         raise ValueError("grids must share axes")
     x1, x2, xv = ax
-    f, g = grid_f.values, grid_g.values
+    (_, mid1), (_, mid2), (dv, _) = (_uniform_axis(a, i < 2) for i, a in enumerate(ax))
     n1, n2, nv = len(x1), len(x2), len(xv)
     w1, w2, wv = (_simpson_weights(a) for a in ax)
-    d1, dv = x1[1] - x1[0], xv[1] - xv[0]
-    mid1 = int(round(-x1[0] / d1))
-    mid2 = int(round(-x2[0] / (x2[1] - x2[0])))
-
-    conv_len = 2 * nv - 1
-    G_fft = np.fft.rfft(g, conv_len, axis=2)            # (n1, n2, F)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    L = 2 * nv - 1
+    F = np.fft.rfft(grid_f.values * wv, L, axis=2)
+    G_fft = np.fft.rfft(grid_g.values, L, axis=2)
+    # block shifts by -1..2 cells, and the block values at cells 0, 1, L-2, L-1
+    kappa = np.arange(nv)
+    taps = np.exp(2j * math.pi * np.outer(np.arange(-1, 3), kappa) / L)
+    ends = np.where(kappa > 0, 2.0 / L, 1.0 / L)[:, None] * np.exp(
+        2j * math.pi * np.outer(kappa, [0, 1, L - 2, L - 1]) / L)
+    # c = y_1 omega(e_1, x_h)/2 + y_2 omega(e_2, x_h)/2
+    X = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
+    half_omega = 0.5 * G.omega(np.eye(2)[:, None, None, :], X[None])[..., 0]
     out = np.zeros((n1, n2, nv))
-    base = 2 * xv[0]
+    padded = np.zeros((n1 * n2, nv + L + nv))          # blocks between zero margins
 
     for i1, y1 in enumerate(x1):
         a_lo, a_hi = max(0, i1 - mid1), min(n1, n1 + i1 - mid1)
-        if a_lo >= a_hi:
-            continue
         sl1 = slice(a_lo - i1 + mid1, a_hi - i1 + mid1)
         for i2, y2 in enumerate(x2):
-            fv = f[i1, i2] * wv
-            if not np.any(fv):
-                continue
             b_lo, b_hi = max(0, i2 - mid2), min(n2, n2 + i2 - mid2)
-            if b_lo >= b_hi:
-                continue
             sl2 = slice(b_lo - i2 + mid2, b_hi - i2 + mid2)
-            Fv = np.fft.rfft(fv, conv_len)
-            block = np.fft.irfft(Fv[None, None, :] * G_fft[sl1, sl2], conv_len, axis=2)
-            # twisted shift c(a, b) = omega(y, x_h(a, b)) / 2 on the block
-            xa = X1[a_lo:a_hi, b_lo:b_hi]
-            xb = X2[a_lo:a_hi, b_lo:b_hi]
-            c = 0.5 * (G.A[0][0, 1] * (y1 * xb - y2 * xa))
-            pos = (xv[None, None, :] - c[:, :, None] - base) / dv
-            out[a_lo:a_hi, b_lo:b_hi] += (w1[i1] * w2[i2]) * _cubic_sample_axis(block, pos)
+            c = y1 * half_omega[0, a_lo:a_hi, b_lo:b_hi] + y2 * half_omega[1, a_lo:a_hi, b_lo:b_hi]
+            pos = (-xv[0] - c) / dv                      # block position of x_v = xv[0]
+            k0 = np.floor(pos)
+            live = (k0 > -nv) & (k0 < L - 1)
+            u, k0, g_hat = pos[live] - k0[live], k0[live].astype(int), G_fft[sl1, sl2][live]
+            u2, u3 = u * u, u * u * u
+            W = 0.5 * np.stack([2 * u2 - u - u3, 2 - 5 * u2 + 3 * u3,
+                                u + 4 * u2 - 3 * u3, u3 - u2], axis=-1)
+            b_hat = ((w1[i1] * w2[i2]) * F[i1, i2]) * g_hat
+            rows = padded[: len(u)]
+            block = np.fft.irfft((W @ taps.view(float)).view(complex) * b_hat, L,
+                                 axis=-1, out=rows[:, nv:nv + L])
+            raw = (b_hat @ ends).real
+            block[:, 0] = (1 - u) * raw[:, 0] + u * raw[:, 1]
+            block[:, L - 2] = (1 - u) * raw[:, 2] + u * raw[:, 3]
+            block[:, L - 1] = 0.0
+            window = sliding_window_view(rows, nv, axis=-1)[np.arange(len(u)), k0 + nv]
+            out[a_lo:a_hi, b_lo:b_hi][live] += window
     return DensityGrid(axes=list(ax), values=out, meta={"kind": "convolution"})
 
 
-def _cubic_sample_axis(block, pos):
-    """Catmull-Rom sampling of ``block`` along its last axis."""
-    L = block.shape[-1]
-    idx = np.floor(pos).astype(int)
-    u = pos - idx
-    valid = (idx >= 1) & (idx < L - 2)
-    near = (idx >= 0) & (idx < L - 1)
-    i0 = np.clip(idx - 1, 0, L - 1)
-    i1 = np.clip(idx, 0, L - 1)
-    i2 = np.clip(idx + 1, 0, L - 1)
-    i3 = np.clip(idx + 2, 0, L - 1)
-    p0 = np.take_along_axis(block, i0, axis=-1)
-    p1 = np.take_along_axis(block, i1, axis=-1)
-    p2 = np.take_along_axis(block, i2, axis=-1)
-    p3 = np.take_along_axis(block, i3, axis=-1)
-    cubic = 0.5 * (
-        2 * p1
-        + u * (p2 - p0)
-        + u**2 * (2 * p0 - 5 * p1 + 4 * p2 - p3)
-        + u**3 * (3 * (p1 - p2) + p3 - p0)
-    )
-    linear = (1 - u) * p1 + u * p2
-    return np.where(valid, cubic, np.where(near, linear, 0.0))
+def _uniform_axis(axis, origin):
+    """Step of a uniform increasing axis and the index of its node at 0."""
+    step = (axis[-1] - axis[0]) / max(len(axis) - 1, 1)
+    if not step > 0 or np.max(np.abs(np.diff(axis) - step)) > 1e-9 * step:
+        raise ValueError("convolution axes must be uniform and increasing")
+    mid = int(round(-axis[0] / step))
+    if origin and not (0 <= mid < len(axis) and abs(axis[mid]) <= 1e-9 * step):
+        raise ValueError("horizontal convolution axes need a node at the origin")
+    return step, mid
 
 
 def _simpson_weights(axis):

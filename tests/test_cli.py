@@ -240,7 +240,17 @@ def test_unsupported_parts_are_skipped_with_reason(spec, check):
     reasons = _skip_reasons(result)
     assert reasons and all(len(r) > len("skipped: ") for r in reasons)
     if check == "intertwine":
-        assert {"gamma:mixed", "lp:mixed"} <= set(result.detail)
+        assert {f"{name}:{rel}:mixed" for name in ("gaussian", "cp")
+                for rel in ("gamma", "lp")} <= set(result.detail)
+
+
+def test_intertwinings_keep_each_exponents_residual():
+    # one key per exponent and relation: cp does not overwrite gaussian
+    result = run_check("intertwine", G=_builtin_group("h1"))
+    assert result.passed
+    for name in ("gaussian", "cp"):
+        for rel in ("gamma:mixed", "lp:mixed"):
+            assert isinstance(result.detail[f"{name}:{rel}"], float)
 
 
 @pytest.mark.parametrize("check", ["marginal", "semigroup", "nonnormal"])
@@ -261,9 +271,11 @@ def test_h2_grid_checks_answer_or_skip(check):
 
 
 @pytest.mark.parametrize("spec", ["h2", "quaternionic"])
-@pytest.mark.parametrize("check", list(QUICK) + ["nonnormal"])
+@pytest.mark.parametrize("check", list(QUICK) + ["nonnormal", "mc-kernel", "stationary"])
 def test_quick_checks_pass_or_skip(spec, check):
-    result = run_check(check, G=_builtin_group(spec))
+    # the Monte Carlo checks at the path count of `carnot verify --quick`
+    kw = {"paths": 20_000} if check in ("mc-kernel", "stationary") else {}
+    result = run_check(check, G=_builtin_group(spec), **kw)
     assert result.passed
     if result.skipped:
         reasons = _skip_reasons(result)
