@@ -4,7 +4,8 @@ kernel tables, simulation, estimators, and the verification suite.
 
 Outputs are machine-readable (JSON to stdout, CSV for tables/samples); every
 verification run appends a manifest line to a JSON-lines file.  Exit codes:
-0 success, 1 failed checks, 2 usage or validation errors.
+0 an answer, 1 a failed or crashed check, 2 a usage error: malformed input, a
+dimension mismatch, or an operation the group or exponent does not support.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import GroupValidationError, UnsupportedOperationError
+from .errors import DegenerateFrameError, UnsupportedOperationError
 from .groups import CarnotGroup
 from .kernels import (
     heat_hat,
@@ -34,6 +35,7 @@ from .kernels import (
 )
 from .levy import LevyExponent
 from .polynomials import generator_matrix
+from .semigroups import coeigen_residual, eigen_decomposition, intertwine_residual
 from .simulate import PathConfig, estimate_charfn, simulate_levy_ou, simulate_levy_on_group
 from .spectral import frame_at, spectrum_of_generator
 from .verify import CHECKS, QUICK, run_check
@@ -43,33 +45,33 @@ def _echo_json(data):
     click.echo(json.dumps(data, indent=1, sort_keys=True))
 
 
+def _read_spec(spec):
+    """JSON text of a spec given as ``builtin:NAME`` or as a file path."""
+    if spec.startswith("builtin:"):
+        name = spec.split(":", 1)[1]
+        return resources.files("carnot.specs").joinpath(f"{name}.json").read_text()
+    with open(spec) as fh:
+        return fh.read()
+
+
 def _load_group(spec):
-    try:
-        if spec.startswith("builtin:"):
-            name = spec.split(":", 1)[1]
-            text = resources.files("carnot.specs").joinpath(f"{name}.json").read_text()
-            return CarnotGroup.from_dict(json.loads(text)), text
-        with open(spec) as fh:
-            text = fh.read()
-        return CarnotGroup.from_dict(json.loads(text)), text
-    except (GroupValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"invalid group spec {spec!r}: {exc}")
+    text = _read_spec(spec)
+    return CarnotGroup.from_dict(json.loads(text)), text
 
 
-def _load_psi(spec):
-    if spec is None or spec == "none":
-        return None, ""
-    try:
-        if spec.startswith("builtin:"):
-            name = spec.split(":", 1)[1]
-            text = resources.files("carnot.specs").joinpath(f"{name}.json").read_text()
-        else:
-            with open(spec) as fh:
-                text = fh.read()
-        psi = LevyExponent.from_dict(json.loads(text))
-        return (None, text) if psi.is_trivial else (psi, text)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"invalid exponent spec {spec!r}: {exc}")
+def _load_psi(spec, m=None, required=False):
+    """The exponent of ``spec``, or None when it is trivial (rejected when
+
+    ``required``).  A non-trivial one must have vertical dimension ``m``.
+    """
+    psi = None if spec in (None, "none") else LevyExponent.from_dict(json.loads(_read_spec(spec)))
+    if psi is None or psi.is_trivial:
+        if required:
+            raise click.UsageError("this command needs a non-trivial --psi exponent")
+        return None
+    if m is not None and psi.m != m:
+        raise click.UsageError(f"--psi has m = {psi.m}, the group has m = {m}")
+    return psi
 
 
 class FiniteFloat(click.ParamType):
@@ -90,28 +92,54 @@ class FiniteFloat(click.ParamType):
 FINITE = FiniteFloat()
 
 
-def _parse_vector(text, name="vector"):
-    try:
-        vec = np.array([float(x) for x in text.replace(",", " ").split()])
-    except ValueError:
-        raise click.UsageError(f"cannot parse {name} from {text!r}")
-    if not np.all(np.isfinite(vec)):
-        raise click.UsageError(f"{name} must be finite, got {text!r}")
-    return vec
+def _parse_vector(text, name, length):
+    """``length`` finite numbers, comma or space separated, given to ``--name``."""
+    vec = [FINITE.convert(x, None, None) for x in text.replace(",", " ").split()]
+    if len(vec) != length:
+        raise click.BadParameter(f"needs a vector of length {length}, got {text!r}",
+                                 param_hint=f"'--{name}'")
+    return np.array(vec)
 
 
 def _parse_grid(text, G):
+    """Axes from ``h:lo:hi:n,v:lo:hi:n``: one h and one v axis, each with
+
+    finite bounds lo < hi and n >= 2 nodes.
+    """
     axes = {}
     for part in text.split(","):
-        key, lo, hi, count = part.split(":")
-        axes[key.strip()] = np.linspace(FINITE.convert(lo, None, None),
-                                        FINITE.convert(hi, None, None), int(count))
-    if "h" not in axes or "v" not in axes:
-        raise click.UsageError("grid must specify h:lo:hi:n,v:lo:hi:n")
+        fields = part.strip().split(":")
+        if len(fields) != 4 or fields[0] not in ("h", "v") or fields[0] in axes:
+            raise click.BadParameter(f"{part!r} is not one h:lo:hi:n or v:lo:hi:n axis",
+                                     param_hint="'--grid'")
+        lo, hi = FINITE.convert(fields[1], None, None), FINITE.convert(fields[2], None, None)
+        count = click.INT.convert(fields[3], None, None)
+        if not (lo < hi and count >= 2):
+            raise click.BadParameter(f"axis {part!r} needs lo < hi and at least 2 nodes",
+                                     param_hint="'--grid'")
+        axes[fields[0]] = np.linspace(lo, hi, count)
+    if len(axes) != 2:
+        raise click.BadParameter("needs an h axis and a v axis", param_hint="'--grid'")
     return [axes["h"]] * G.n + [axes["v"]] * G.m
 
 
-@click.group()
+class _Boundary(click.Group):
+    """The command group.  It reports the package's input errors as usage
+
+    errors (exit 2): malformed or mismatched specs, files and vectors
+    (ValueError, with GroupValidationError and JSONDecodeError), files that
+    cannot be read or written, and operations the group or the exponent does
+    not support.  Any other exception is a defect and keeps its traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError, UnsupportedOperationError, DegenerateFrameError) as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Boundary)
 @click.version_option(__version__)
 def main():
     """Heat and Levy-Ornstein-Uhlenbeck semigroups on step-2 Carnot groups."""
@@ -160,10 +188,8 @@ def _psi_common(fn):
 @_psi_common
 def psi_eval(psi_spec, lam):
     """Evaluate the exponent at a frequency."""
-    p, _ = _load_psi(psi_spec)
-    if p is None:
-        raise click.UsageError("exponent spec is trivial")
-    val = complex(p.psi(_parse_vector(lam, "lam")))
+    p = _load_psi(psi_spec, required=True)
+    val = complex(p.psi(_parse_vector(lam, "lam", p.m)))
     _echo_json({"psi": [val.real, val.imag], "real_valued": p.is_real_valued})
 
 
@@ -172,10 +198,8 @@ def psi_eval(psi_spec, lam):
 @click.option("--t", type=FINITE, required=True)
 def psi_psit(psi_spec, lam, t):
     """Evaluate the time-deformed exponent."""
-    p, _ = _load_psi(psi_spec)
-    if p is None:
-        raise click.UsageError("exponent spec is trivial")
-    val = complex(p.psi_t(t, _parse_vector(lam, "lam")))
+    p = _load_psi(psi_spec, required=True)
+    val = complex(p.psi_t(t, _parse_vector(lam, "lam", p.m)))
     _echo_json({"psi_t": [val.real, val.imag], "t": t})
 
 
@@ -183,13 +207,8 @@ def psi_psit(psi_spec, lam, t):
 @_psi_common
 def psi_limit_cmd(psi_spec, lam):
     """Evaluate the stationary exponent."""
-    p, _ = _load_psi(psi_spec)
-    if p is None:
-        raise click.UsageError("exponent spec is trivial")
-    try:
-        val = complex(p.psi_limit(_parse_vector(lam, "lam")))
-    except UnsupportedOperationError as exc:
-        raise click.UsageError(str(exc))
+    p = _load_psi(psi_spec, required=True)
+    val = complex(p.psi_limit(_parse_vector(lam, "lam", p.m)))
     _echo_json({"psi_limit": [val.real, val.imag]})
 
 
@@ -206,7 +225,7 @@ def spectrum():
 def spectrum_delta(spec, psi_spec):
     """Describe the spectrum of the (perturbed) sub-Laplacian."""
     G, _ = _load_group(spec)
-    p, _ = _load_psi(psi_spec)
+    p = _load_psi(psi_spec, G.m)
     desc = spectrum_of_generator(G, p)
     _echo_json(desc.describe())
 
@@ -214,30 +233,25 @@ def spectrum_delta(spec, psi_spec):
 @spectrum.command("ou")
 @click.option("--spec", default="builtin:h1")
 @click.option("--psi", "psi_spec", default="none")
-@click.option("--degree", type=int, default=3)
+@click.option("--degree", type=click.IntRange(min=0), default=3)
 def spectrum_ou(spec, psi_spec, degree):
-    """Eigenvalues with multiplicities and eigenfunction coefficients."""
+    """Eigenvalues with multiplicities and explicit eigenfunctions."""
     G, _ = _load_group(spec)
-    p, _ = _load_psi(psi_spec)
-    try:
-        gm = generator_matrix(G, p, degree)
-    except UnsupportedOperationError as exc:
-        raise click.UsageError(str(exc))
+    p = _load_psi(psi_spec, G.m)
+    gm = generator_matrix(G, p, degree)
+    eigs = gm.eigenvalues()
     out = []
-    for k in range(degree + 1):
-        vecs = gm.eigenvectors_for(-float(k))
+    for k, (_, polys) in enumerate(eigen_decomposition(G, p, degree)):
         out.append({
             "eigenvalue": -k,
-            "algebraic_multiplicity": sum(
-                1 for e in gm.eigenvalues() if abs(e + k) < 1e-8
-            ),
+            "algebraic_multiplicity": int(np.sum(np.abs(eigs + k) < 1e-8)),
             "geometric_multiplicity": gm.geometric_multiplicity(-float(k)),
             "eigenfunctions": [
                 {"".join(f"h{i+1}^{a}" for i, a in enumerate(key[0]) if a)
                  + "".join(f"v{j+1}^{g}" for j, g in enumerate(key[1]) if g)
-                 or "1": round(float(c), 12)
-                 for key, c in p_.terms.items()}
-                for p_ in vecs
+                 or "1": round(c, 12)
+                 for key, c in q.terms.items()}
+                for q in polys
             ],
         })
     _echo_json({"degree_cap": degree, "levels": out})
@@ -262,19 +276,16 @@ def kernel():
 def kernel_hat(spec, psi_spec, kind, t, z, lam, nu):
     """Evaluate the partial-Fourier kernel at one frequency."""
     G, _ = _load_group(spec)
-    p, _ = _load_psi(psi_spec)
-    lam_v = _parse_vector(lam, "lam")
-    z_v = _parse_vector(z, "z") if z else np.zeros(2 * G.d)
-    nu_v = _parse_vector(nu, "nu") if nu else np.zeros(G.k)
-    try:
-        if kind == "heat":
-            val = complex(heat_hat(G, t, z_v, lam_v, nu_v))
-        elif kind == "perturbed":
-            val = complex(perturbed_hat(G, p, t, z_v, lam_v, nu_v))
-        else:
-            val = complex(invariant_hat(G, p, z_v, lam_v, nu_v))
-    except (UnsupportedOperationError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    p = _load_psi(psi_spec, G.m)
+    lam_v = _parse_vector(lam, "lam", G.m)
+    z_v = _parse_vector(z, "z", 2 * G.d) if z else np.zeros(2 * G.d)
+    nu_v = _parse_vector(nu, "nu", G.k) if nu else np.zeros(G.k)
+    if kind == "heat":
+        val = complex(heat_hat(G, t, z_v, lam_v, nu_v))
+    elif kind == "perturbed":
+        val = complex(perturbed_hat(G, p, t, z_v, lam_v, nu_v))
+    else:
+        val = complex(invariant_hat(G, p, z_v, lam_v, nu_v))
     _echo_json({"kind": kind, "value": [val.real, val.imag]})
 
 
@@ -290,20 +301,15 @@ def kernel_hat(spec, psi_spec, kind, t, z, lam, nu):
 def kernel_invert(spec, psi_spec, kind, t, grid, out, gnuplot):
     """Invert the kernel onto a grid and write CSV (coordinates, density)."""
     G, _ = _load_group(spec)
-    p, _ = _load_psi(psi_spec)
-    if kind != "heat" and p is None:
-        raise click.UsageError(f"--kind {kind} needs a non-trivial --psi exponent")
-    try:
-        if kind == "heat":
-            sl = heat_slice(G, t)
-        elif kind == "perturbed":
-            sl = perturbed_slice(G, p, t)
-        else:
-            sl = invariant_slice(G, p)
-        axes = _parse_grid(grid, G)
-        dens = invert_to_grid(sl, axes)
-    except (UnsupportedOperationError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    p = _load_psi(psi_spec, G.m, required=kind != "heat")
+    axes = _parse_grid(grid, G)
+    if kind == "heat":
+        sl = heat_slice(G, t)
+    elif kind == "perturbed":
+        sl = perturbed_slice(G, p, t)
+    else:
+        sl = invariant_slice(G, p)
+    dens = invert_to_grid(sl, axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     cols = [m.ravel() for m in mesh] + [dens.values.ravel()]
     header = [f"h{i+1}" for i in range(G.n)] + [f"v{j+1}" for j in range(G.m)] + ["density"]
@@ -343,11 +349,8 @@ def _write_csv(path, header, rows):
 
 def _run_sim(kind, spec, psi_spec, t, paths, seed, steps, out):
     G, _ = _load_group(spec)
-    p, _ = _load_psi(psi_spec)
-    try:
-        cfg = PathConfig(horizon=t, steps_per_unit=steps, paths=paths, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    p = _load_psi(psi_spec, G.m)
+    cfg = PathConfig(horizon=t, steps_per_unit=steps, paths=paths, seed=seed)
     sim = simulate_levy_on_group if kind == "levy" else simulate_levy_ou
     H, V = sim(G, p, cfg)
     header = [f"h{i+1}" for i in range(G.n)] + [f"v{j+1}" for j in range(G.m)]
@@ -385,10 +388,12 @@ def estimate_charfn_cmd(samples, lam, columns):
     with open(samples) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not len(data) or data.shape[1] != len(header):
+        raise click.UsageError(f"{samples} needs rows of {len(header)} numbers under its header")
     cols = [i for i, name in enumerate(header) if name.startswith(columns)]
     if not cols:
         raise click.UsageError(f"no columns starting with {columns!r}")
-    panel = [_parse_vector(part, "lam") for part in lam.split(";")]
+    panel = [_parse_vector(part, "lam", len(cols)) for part in lam.split(";")]
     est = estimate_charfn(data[:, cols], panel)
     _echo_json({
         "lam": [row.tolist() for row in est.lam],
@@ -405,7 +410,8 @@ def estimate_charfn_cmd(samples, lam, columns):
 @click.argument("checks", nargs=-1)
 @click.option("--spec", default="builtin:h1")
 @click.option("--psi", "psi_spec", default=None,
-              help="override exponent; checks without the needed capability are skipped")
+              help="exponent for isospectral, marginal, mc-kernel, stationary and "
+                   "intertwine; the other checks run their own")
 @click.option("--quick", is_flag=True, help="fast subset of the suite")
 @click.option("--manifest", type=click.Path(), default="carnot-runs.jsonl")
 @click.option("--seed", type=int, default=None,
@@ -423,19 +429,12 @@ def verify_cmd(checks, spec, psi_spec, quick, manifest, seed, pair, beta, t_opt,
     ``--pair`` (or ``--beta``) a single intertwining (or co-eigen) relation
     runs and its report is printed as JSON.
     """
-    from .semigroups import coeigen_residual, intertwine_residual
-
     G, spec_text = _load_group(spec)
-    p, _ = _load_psi(psi_spec) if psi_spec else (None, "")
+    p = _load_psi(psi_spec, G.m)
 
     if pair is not None or beta is not None:
-        try:
-            if pair is not None:
-                rep = intertwine_residual(pair, G, p, t_opt)
-            else:
-                rep = coeigen_residual(G, p, [beta], t_opt, test="bump")
-        except (UnsupportedOperationError, ValueError) as exc:
-            raise click.UsageError(str(exc))
+        rep = (intertwine_residual(pair, G, p, t_opt) if pair is not None
+               else coeigen_residual(G, p, [beta], t_opt, test="bump"))
         _echo_json(rep.as_dict())
         if not rep.passed:
             sys.exit(1)
@@ -448,17 +447,16 @@ def verify_cmd(checks, spec, psi_spec, quick, manifest, seed, pair, beta, t_opt,
         if unknown:
             raise click.UsageError(f"unknown checks: {unknown}")
         names = checks
-    override = {"none": None, "user": p} if psi_spec else None
     t0 = time.time()
     results = []
     for name in names:
         kw = {}
         if name in ("mc-kernel", "stationary") and quick:
             kw["paths"] = 20_000
-        if override is not None and name in (
+        if psi_spec and name in (
             "isospectral", "marginal", "mc-kernel", "stationary", "intertwine"
         ):
-            kw["exponents"] = override if name != "stationary" else {"user": p}
+            kw["exponents"] = {"user": p} if name == "stationary" else {"none": None, "user": p}
         if seed is not None and "seed" in inspect.signature(CHECKS[name]).parameters:
             kw["seed"] = seed
         results.append(run_check(name, G=G, **kw))
@@ -479,7 +477,8 @@ def verify_cmd(checks, spec, psi_spec, quick, manifest, seed, pair, beta, t_opt,
     else:
         for r in results:
             status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
-            click.echo(f"{status:4s} {r.name} ({r.elapsed:.1f}s)")
+            error = f": {r.detail['error']}" if "error" in r.detail else ""
+            click.echo(f"{status:4s} {r.name} ({r.elapsed:.1f}s){error}")
     failed = [r.name for r in results if not r.passed]
     if failed:
         click.echo(f"failed checks: {', '.join(failed)}", err=True)

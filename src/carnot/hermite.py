@@ -165,8 +165,7 @@ class WeylMatrix:
         return off, diag
 
 
-def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None,
-                check=True, tol=1e-6):
+def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=1e-6):
     """Weyl transform matrix of ``f`` on the oscillator plane (d = 1).
 
     ``f(x, y)`` must decay like a Gaussian.  The operator acts by
@@ -201,16 +200,14 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None,
         return np.einsum("gi,ij,aj->ga", BW, K, BW)
 
     first = assemble(quad_points)
-    if check:
-        second = assemble(2 * quad_points)
-        drift = float(np.max(np.abs(second - first)))
-        if drift > tol:
-            raise AccuracyError(
-                f"Weyl quadrature did not converge (node doubling moved an "
-                f"element by {drift:.2e} > {tol:.0e})"
-            )
-        first = second
-    return WeylMatrix(frame=frame, size=size, entries=first)
+    second = assemble(2 * quad_points)
+    drift = float(np.max(np.abs(second - first)))
+    if drift > tol:
+        raise AccuracyError(
+            f"Weyl quadrature did not converge (node doubling moved an "
+            f"element by {drift:.2e} > {tol:.0e})"
+        )
+    return WeylMatrix(frame=frame, size=size, entries=second)
 
 
 def gft_matrix(frame: SpectralFrame, f_plane, f_hat_vertical, lam, nu, size, **kw):

@@ -356,15 +356,6 @@ class GeneratorMatrix:
         cut = (tol if tol is not None else 1e-10) * scale
         return int(np.sum(s < cut))
 
-    def eigenvectors_for(self, eigenvalue, tol=1e-10):
-        """Orthonormal kernel basis of (M - eigenvalue I) via SVD."""
-        mat = self.entries - eigenvalue * np.eye(len(self.basis))
-        u, s, vt = np.linalg.svd(mat)
-        del u
-        scale = max(np.max(s), 1.0)
-        null = vt[s < tol * scale] if len(s) else vt
-        return [self._vector_to_poly(row) for row in null]
-
     def _vector_to_poly(self, vec):
         terms = {key: c for key, c in zip(self.basis, vec) if abs(c) > 1e-13}
         return GradedPolynomial(self.nh, self.mv, terms)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -39,7 +40,6 @@ from .polynomials import (
     GradedPolynomial,
     generator_matrix,
     monomial_basis,
-    operator_matrix,
     ou_generator,
     sub_laplacian,
     vertical_generator,
@@ -50,6 +50,7 @@ __all__ = [
     "SemigroupOperator",
     "gamma_shift",
     "stationary_expectation",
+    "eigenfunction",
     "eigen_decomposition",
     "IntertwinerReport",
     "intertwine_residual",
@@ -158,9 +159,22 @@ def stationary_expectation(G, psi, p: GradedPolynomial):
     return _q_half_gamma(G, psi, p).terms.get(((0,) * G.n, (0,) * G.m), 0)
 
 
-def q_half_gamma_matrix(G, psi, cap):
-    """Matrix of ``Q_{1/2} Gamma`` on the graded monomial basis."""
-    return operator_matrix(lambda p: _q_half_gamma(G, psi, p), G.n, G.m, cap)
+def eigenfunction(G, psi, alpha, gamma):
+    """``Gamma^{-1} Q_{-1/2}(x^alpha v^gamma)``: an eigenfunction of the
+    perturbed Ornstein-Uhlenbeck generator at level ``|alpha| + 2|gamma|``.
+
+    Both factors of the inverted intertwiner are terminating series: the
+    heat series at t = -1/2, and ``sum_j (I - Gamma)^j`` because
+    ``Gamma - I`` lowers the vertical degree.  Exact (Fractions) when the
+    stationary moments are.
+    """
+    mono = GradedPolynomial.monomial(G.n, G.m, alpha, gamma)
+    out = term = _heat_apply(G, None, Fraction(-1, 2), mono)
+    while True:
+        term = term - gamma_shift(psi, term)
+        if term.is_zero():
+            return out
+        out = out + term
 
 
 def eigen_decomposition(G, psi, cap, t=1.0):
@@ -168,30 +182,22 @@ def eigen_decomposition(G, psi, cap, t=1.0):
 
     Ornstein-Uhlenbeck semigroup on polynomials of degree <= cap.
 
-    The eigenspace at level k is the preimage of the homogeneous layer of
-    degree k under ``Q_{1/2} Gamma``; every returned polynomial is verified
-    to satisfy the generator equation exactly.
+    Level k holds the :func:`eigenfunction` of each degree-k monomial, in
+    the order of ``monomial_basis``, with float coefficients; every returned
+    polynomial is verified to satisfy the generator equation.
     """
     if psi is not None and not psi.is_trivial:
         psi.require_moments(cap)
-    basis, mat = q_half_gamma_matrix(G, psi, cap)
-    gm = generator_matrix(G, psi, cap)
+    basis = monomial_basis(G.n, G.m, cap)
     out = []
     for k in range(cap + 1):
-        vecs = []
-        for idx, (alpha, gamma) in enumerate(basis):
+        polys = []
+        for alpha, gamma in basis:
             if sum(alpha) + 2 * sum(gamma) != k:
                 continue
-            rhs = np.zeros(len(basis))
-            rhs[idx] = 1.0
-            sol = np.linalg.solve(mat, rhs)
-            vecs.append(sol)
-        polys = []
-        for vec in vecs:
-            p = GradedPolynomial(
-                G.n, G.m,
-                {key: c for key, c in zip(basis, vec) if abs(c) > 1e-12},
-            )
+            exact = eigenfunction(G, psi, alpha, gamma).terms
+            p = GradedPolynomial(G.n, G.m,
+                                 {key: float(exact[key]) for key in basis if key in exact})
             residual = ou_generator(G, psi, p) + p.scale(k)
             if residual.max_abs_coeff() > 1e-9 * max(1.0, p.max_abs_coeff()):
                 raise ArithmeticError(
@@ -206,14 +212,14 @@ def eigen_decomposition(G, psi, cap, t=1.0):
 # Euclidean comparison semigroups
 # ---------------------------------------------------------------------------
 
-def mehler_apply(f, t, points, dim, gh_nodes=48):
+def mehler_apply(f, t, points, dim):
     """Ornstein-Uhlenbeck semigroup on R^dim with generator
 
     ``Laplacian - <x, grad>`` via the Mehler representation
 
         P f(x) = E f(e^{-t} x + sqrt(1 - e^{-2t}) xi),  xi standard normal.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(gh_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(48)
     scale = math.sqrt(1.0 - math.exp(-2.0 * t)) * math.sqrt(2.0)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if dim == 1:

@@ -28,7 +28,7 @@ from .semigroups import coeigen_residual, intertwine_residual, nonnormality_witn
 from .simulate import PathConfig, estimate_charfn, simulate_levy_ou, simulate_levy_on_group
 from .spectral import frame_at, harmonic_eigenvalue, spectrum_of_generator
 
-__all__ = ["CheckResult", "run_check", "run_suite", "CHECKS", "default_exponents"]
+__all__ = ["CheckResult", "run_check", "CHECKS", "default_exponents"]
 
 
 @dataclass
@@ -368,11 +368,13 @@ def check_spectrum_description(G=None, seed=8, samples=200):
     for _ in range(samples):
         beta = [int(rng.integers(0, 5)) for _ in range(G.d)]
         lam = rng.normal(size=G.m) * float(rng.uniform(0.1, 40.0))
-        vals.append(desc.sample(beta, lam).real)
+        nu = rng.normal(size=G.k)      # radical frequency; k = 0 draws nothing
+        vals.append(desc.sample(beta, lam, nu).real)
     vals = np.array(vals)
     ok &= bool(np.all(vals <= 1e-12))
     ok &= bool(vals.min() < -100.0)
-    ray = [desc.sample([0] * G.d, np.full(G.m, eps)).real for eps in (1e-1, 1e-2, 1e-3)]
+    ray = [desc.sample([0] * G.d, np.full(G.m, eps), np.zeros(G.k)).real
+           for eps in (1e-1, 1e-2, 1e-3)]
     ok &= abs(ray[-1]) < 1e-2
     exps = default_exponents(G.m)
     drift_desc = spectrum_of_generator(G, exps["gaussian-drift"])
@@ -414,16 +416,19 @@ QUICK = ("eigen", "isospectral", "weyl", "plancherel", "spectrum", "marginal")
 
 
 def run_check(name, G=None, **kw):
+    """Run one check.  An unsupported operation is a skip with its reason;
+
+    any other exception is a failed result that records it, so a crashed
+    check is reported as a failure and never as a usage error.
+    """
     fn = CHECKS[name]
     t0 = time.perf_counter()
     try:
         result = fn(G=G, **kw)
     except UnsupportedOperationError as exc:
         result = CheckResult(name, True, {"skipped": str(exc)}, skipped=True)
+    except Exception as exc:
+        result = CheckResult(name, False, {"error": f"{type(exc).__name__}: {exc}"})
     result.elapsed = time.perf_counter() - t0
     return result
 
-
-def run_suite(G=None, profile="quick", names=None):
-    selected = names or (QUICK if profile == "quick" else tuple(CHECKS))
-    return [run_check(name, G=G) for name in selected]

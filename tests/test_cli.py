@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from carnot.cli import main
 from carnot.verify import QUICK, run_check
@@ -64,6 +66,8 @@ def test_spectrum_ou(runner):
     assert mults == [1, 2, 4]
     geos = [lvl["geometric_multiplicity"] for lvl in data["levels"]]
     assert geos == [1, 2, 4]
+    # the explicit eigenfunction of h1^2 is Q_{-1/2} h1^2 = h1^2 - 1
+    assert {"h1^2": 1.0, "1": -1.0} in data["levels"][2]["eigenfunctions"]
 
 
 def test_spectrum_ou_stable_rejected(runner):
@@ -280,3 +284,130 @@ def test_quick_checks_pass_or_skip(spec, check):
     if result.skipped:
         reasons = _skip_reasons(result)
         assert reasons and all(len(r) > len("skipped: ") for r in reasons)
+
+
+def test_spectrum_description_with_a_radical():
+    from carnot.groups import free_step2
+
+    result = run_check("spectrum", G=free_step2(3))
+    assert result.passed and not result.skipped
+
+
+def test_crashed_check_is_a_recorded_failure(runner, tmp_path, monkeypatch):
+    # a check's own exception is a failure with its record, not a usage error
+    from carnot import verify as V
+
+    def crash(G=None):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(V.CHECKS, "eigen", crash)
+    manifest = tmp_path / "m.jsonl"
+    res = runner.invoke(main, ["verify", "eigen", "spectrum", "--manifest", str(manifest)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "ValueError: boom" in res.output
+    eigen, spectrum = json.loads(manifest.read_text())["results"]
+    assert eigen["passed"] is False and eigen["error"] == "ValueError: boom"
+    assert spectrum["passed"] is True
+
+
+def _answers(res):
+    # an answer (0), a failed check (1) or a usage error (2); never a traceback
+    return res.exit_code in (0, 1, 2) and (res.exception is None
+                                           or isinstance(res.exception, SystemExit))
+
+
+@pytest.mark.parametrize("spec", ["h1", "h2", "quaternionic"])
+def test_every_command_answers_on_every_builtin_spec(runner, tmp_path, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    G = _builtin_group(spec)
+    lam = ",".join(["1"] * G.m)
+    for psi in ("none", "builtin:psi_gaussian", "builtin:psi_cp", "builtin:psi_stable"):
+        common = ["--spec", f"builtin:{spec}", "--psi", psi]
+        sim = common + ["--paths", "200", "--steps", "64", "--t", "0.5"]
+        commands = [
+            ["group", "describe", "--spec", f"builtin:{spec}"],
+            ["psi", "eval", "--psi", psi, "--lam", lam],
+            ["psi", "psit", "--psi", psi, "--lam", lam, "--t", "0.5"],
+            ["psi", "limit", "--psi", psi, "--lam", lam],
+            ["spectrum", "delta"] + common,
+            ["spectrum", "ou", "--degree", "2"] + common,
+            ["kernel", "hat", "--kind", "perturbed", "--lam", lam] + common,
+            ["kernel", "invert", "--kind", "invariant", "--grid", "h:-2:2:5,v:-2:2:5",
+             "--out", "q.csv"] + common,
+            ["simulate", "levy", "--out", "levy.csv"] + sim,
+            ["simulate", "ou", "--out", "ou.csv"] + sim,
+            ["estimate", "charfn", "--samples", "levy.csv", "--lam", lam],
+            ["verify", "eigen", "spectrum", "--manifest", "m.jsonl"] + common,
+        ]
+        for args in commands:
+            res = runner.invoke(main, args)
+            assert _answers(res), (args, res.output, res.exception)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "all", "--quick", "--spec", "builtin:quaternionic", "--psi", "builtin:psi_cp"],
+    ["spectrum", "ou", "--spec", "builtin:quaternionic", "--psi", "builtin:psi_cp"],
+    ["kernel", "hat", "--spec", "builtin:quaternionic", "--psi", "builtin:psi_cp",
+     "--kind", "perturbed", "--t", "1", "--lam", "1,1,1"],
+    ["psi", "eval", "--psi", "builtin:psi_cp", "--lam", "1,2"],
+    ["psi", "limit", "--psi", "builtin:psi_cp", "--lam", "1,2"],
+    ["estimate", "charfn", "--samples", "two_v.csv", "--lam", "1"],
+    ["estimate", "charfn", "--samples", "no_rows.csv", "--lam", "1"],
+    ["kernel", "invert", "--grid", "h:-1:1:1,v:-1:1:3", "--out", "q.csv"],
+], ids=["verify-psi-dim", "spectrum-psi-dim", "hat-psi-dim", "eval-lam-dim", "limit-lam-dim",
+        "charfn-lam-dim", "charfn-no-rows", "grid-one-node"])
+def test_mismatched_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two_v.csv").write_text("h1,h2,v1,v2\n1,2,3,4\n5,6,7,8\n")
+    (tmp_path / "no_rows.csv").write_text("h1,h2,v1\n")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+    assert not (tmp_path / "q.csv").exists() and not (tmp_path / "carnot-runs.jsonl").exists()
+
+
+_AXES = ["h", "-1", "1", "5", "v", "-1", "1", "5"]
+
+
+def _grid(fields):
+    return ":".join(fields[:4]) + "," + ":".join(fields[4:])
+
+
+_malformed_grids = st.one_of(
+    # a node count below two
+    st.integers(-3, 1).map(lambda n: _grid(_AXES[:7] + [str(n)])),
+    # bounds that are not increasing
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda ab: _grid(_AXES[:1] + [str(max(ab)), str(min(ab))] + _AXES[3:])),
+    # a field that is not a number
+    st.tuples(st.sampled_from([1, 2, 3, 5, 6, 7]), st.sampled_from(["", "x", "1e", "--1"])).map(
+        lambda ix: _grid(_AXES[:ix[0]] + [ix[1]] + _AXES[ix[0] + 1:])),
+    # a field too few or too many
+    st.tuples(st.integers(0, 7), st.booleans()).map(
+        lambda ix: ":".join(_AXES[:4]) + "," + ":".join(
+            _AXES[4:][:ix[0] % 4] + (["0", "0"] if ix[1] else []) + _AXES[4:][ix[0] % 4 + 1:])),
+    # an axis missing, repeated or unknown
+    st.sampled_from(["", "h:-1:1:5", "v:-1:1:5", "h:-1:1:5,h:-1:1:5", "w:-1:1:5,v:-1:1:5",
+                     "h:-1:1:5,v:-1:1:5,v:-1:1:5", "h:-1:1:5;v:-1:1:5"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_malformed_grids)
+def test_malformed_grid_is_a_usage_error(grid):
+    res = CliRunner().invoke(main, ["kernel", "invert", "--grid", grid, "--out", "unused.csv"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), (grid, res.output)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(["h1", "quaternionic"]), option=st.sampled_from(["--lam", "--z"]),
+       values=st.lists(st.floats(-3, 3), max_size=5))
+def test_wrong_vector_length_is_a_usage_error(spec, option, values):
+    G = _builtin_group(spec)
+    length = G.m if option == "--lam" else 2 * G.d
+    assume(len(values) != length and (values or option == "--lam"))
+    args = {"--lam": ",".join(["1"] * G.m), option: ",".join(map(str, values))}
+    res = CliRunner().invoke(main, ["kernel", "hat", "--spec", f"builtin:{spec}"]
+                             + [x for kv in args.items() for x in kv])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), (values, res.output)
+    assert "length" in res.output

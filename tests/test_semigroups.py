@@ -1,16 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from carnot.groups import free_step2, heisenberg
+from carnot.groups import free_step2, heisenberg, quaternionic_h_type
 from carnot.levy import CompoundPoisson, LevyExponent, NormalDist
-from carnot.polynomials import GradedPolynomial, generator_matrix
+from carnot.polynomials import (
+    GradedPolynomial,
+    generator_matrix,
+    monomial_basis,
+    operator_matrix,
+    ou_generator,
+)
 from carnot.semigroups import (
     SemigroupOperator,
+    _heat_apply,
     coeigen_residual,
     eigen_decomposition,
+    eigenfunction,
     gamma_shift,
     intertwine_residual,
     nonnormality_witness,
@@ -115,6 +124,37 @@ def test_eigen_ladder_completeness():
     from carnot.polynomials import monomial_basis
 
     assert total == len(monomial_basis(2, 1, cap))
+
+
+@pytest.mark.parametrize("group", [G, heisenberg(2), quaternionic_h_type(), free_step2(3)],
+                         ids=["h1", "h2", "quaternionic", "free_step2(3)"])
+def test_eigenfunctions_are_exact(group):
+    # Gamma^{-1} Q_{-1/2} of every monomial solves the generator equation in
+    # exact arithmetic, for each exponent of the checks
+    for psi in default_exponents(group.m).values():
+        for alpha, gamma in monomial_basis(group.n, group.m, 4):
+            p = eigenfunction(group, psi, alpha, gamma)
+            assert all(isinstance(c, Fraction) for c in p.terms.values())
+            level = sum(alpha) + 2 * sum(gamma)
+            assert (ou_generator(group, psi, p) + p.scale(level)).is_zero()
+
+
+@pytest.mark.parametrize("group,name", [(G, "cp"), (G, "gaussian-drift"),
+                                        (quaternionic_h_type(), "cp")],
+                         ids=["h1-cp", "h1-gaussian-drift", "quaternionic-cp"])
+def test_eigen_decomposition_matches_dense_solve(group, name):
+    # reference: the preimages of the monomials under the dense matrix of
+    # Q_{1/2} Gamma, one column per monomial
+    psi = default_exponents(group.m)[name]
+    basis, mat = operator_matrix(lambda p: _heat_apply(group, None, 0.5, gamma_shift(psi, p)),
+                                 group.n, group.m, 4)
+    ref = np.linalg.solve(mat, np.eye(len(basis)))
+    polys = [p for _, level in eigen_decomposition(group, psi, 4) for p in level]
+    got = np.zeros_like(ref)
+    for j, p in enumerate(polys):
+        for key, c in p.terms.items():
+            got[basis.index(key), j] = c
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-12)
 
 
 @pytest.mark.parametrize("psi", [None, PSI_GAUSS, PSI_CP])
