@@ -20,13 +20,13 @@ def gauss_legendre(a, b, n=64):
 
 def composite_gl(a, b, panels, nodes_per_panel=16):
     """Composite Gauss-Legendre rule over equal panels of [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(lo, hi, nodes_per_panel)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return composite_gl_edges(np.linspace(a, b, panels + 1), nodes_per_panel)
+
+
+def composite_gl_edges(edges, nodes_per_panel=16):
+    """Composite Gauss-Legendre rule over the panels between ``edges``."""
+    rules = [gauss_legendre(lo, hi, nodes_per_panel) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def oscillatory_rule(limit, vmax, nodes_per_panel=12, max_panel=1.0):
@@ -43,13 +43,7 @@ def oscillatory_rule(limit, vmax, nodes_per_panel=12, max_panel=1.0):
     edges = np.linspace(0.0, limit, half_panels + 1)
     graded = [edges[1] / 64.0, edges[1] / 16.0, edges[1] / 4.0]
     pos = np.concatenate([[0.0], graded, edges[1:]])
-    all_edges = np.concatenate([-pos[::-1], pos[1:]])
-    xs, ws = [], []
-    for lo, hi in zip(all_edges[:-1], all_edges[1:]):
-        x, w = gauss_legendre(lo, hi, nodes_per_panel)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return composite_gl_edges(np.concatenate([-pos[::-1], pos[1:]]), nodes_per_panel)
 
 
 def trapezoid_nd(values, axes):

@@ -387,7 +387,8 @@ def estimate_charfn_cmd(samples, lam, columns):
     """Empirical characteristic function of sampled coordinates."""
     with open(samples) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = [line for line in fh if line.strip()]
+    data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 0))
     if not len(data) or data.shape[1] != len(header):
         raise click.UsageError(f"{samples} needs rows of {len(header)} numbers under its header")
     cols = [i for i, name in enumerate(header) if name.startswith(columns)]

@@ -184,20 +184,19 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=
         eta = frame.eta[0]
         L = extent if extent is not None else 8.0 / math.sqrt(min(eta, 1.0))
         xi, wxi = gauss_legendre(-L, L, npts)
-        # kernel K(xi, zeta) = int f(zeta - xi, y) e^{i eta y (xi + zeta)/2} dy
         y, wy = gauss_legendre(-L, L, npts)
-        XI, ZETA = np.meshgrid(xi, xi, indexing="ij")
-        diff = ZETA - XI
-        mid = 0.5 * eta * (XI + ZETA)
-        fvals = f(diff[:, :, None], y[None, None, :])
-        phases = np.exp(1j * mid[:, :, None] * y[None, None, :])
-        K = np.einsum("aby,aby,y->ab", fvals, phases, wy)
+        # kernel K(xi, zeta) = int f(zeta - xi, y) e^{i eta y (xi + zeta)/2} dy; the
+        # phase factors as e[xi, y] e[zeta, y], so each row is one product
+        e = np.exp(0.5j * eta * np.outer(xi, y))
+        ew = e * wy
+        K = np.empty((npts, npts), dtype=complex)
+        for a in range(npts):
+            K[a] = (f((xi - xi[a])[:, None], y[None, :]) * ew) @ e[a]
         # project onto the scaled Hermite basis: rows Phi^lam_n at the nodes
         s = math.sqrt(eta)
-        basis = abs(frame.pf) ** 0.25 * hermite_phi_all(size, s * xi)
-        BW = basis * wxi[None, :]
+        BW = abs(frame.pf) ** 0.25 * hermite_phi_all(size, s * xi) * wxi[None, :]
         # entries[gamma, alpha] = <W(f) Phi_alpha, Phi_gamma>
-        return np.einsum("gi,ij,aj->ga", BW, K, BW)
+        return BW @ K @ BW.T
 
     first = assemble(quad_points)
     second = assemble(2 * quad_points)

@@ -18,18 +18,11 @@ from math import erf, exp, pi, sqrt
 
 import numpy as np
 
-from ._quadrature import gauss_legendre
-from .errors import UnsupportedOperationError
+from ._quadrature import composite_gl_edges
+from .errors import AccuracyError, UnsupportedOperationError
 
-__all__ = [
-    "LevyExponent",
-    "NoJumps",
-    "CompoundPoisson",
-    "StableJumps",
-    "AtomJumps",
-    "NormalDist",
-    "AtomDist",
-]
+__all__ = ["LevyExponent", "NoJumps", "CompoundPoisson", "StableJumps", "AtomJumps",
+           "NormalDist", "AtomDist"]
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +74,7 @@ class NormalDist:
             val = mu * (Phi(b) - Phi(a)) - s * (phi(b) - phi(a))
             return np.array([val])
         raise UnsupportedOperationError(
-            "truncated mean of a shifted multivariate normal jump is not implemented"
-        )
+            "truncated mean of a shifted multivariate normal jump is not implemented")
 
 
 def _gaussian_moment(mean, cov, gamma, _cache=None):
@@ -156,9 +148,6 @@ class NoJumps:
         lam = np.asarray(lam, dtype=float)
         return np.zeros(lam.shape[:-1], dtype=complex)
 
-    def psi_t_part(self, t, lam):
-        return 0.0
-
     def psi_limit_part(self, lam):
         return 0.0
 
@@ -171,8 +160,7 @@ class NoJumps:
     def sample(self, t, rng, size, m):
         return np.zeros((size, m))
 
-    def deformed_sample(self, t, rng, size, m):
-        return np.zeros((size, m))
+    deformed_sample = sample
 
     def describe(self):
         return {"type": "none"}
@@ -202,11 +190,21 @@ class CompoundPoisson:
         lam = np.asarray(lam, dtype=float)
         return self.rate * (self.dist.charfn(lam) - 1.0 - 1j * lam @ tm)
 
-    def psi_t_part(self, t, lam):
-        return _scaled_time_integral(self.integral, t, lam)
-
     def psi_limit_part(self, lam):
-        return _stationary_integral(self.integral, lam)
+        """``int_0^1 integral(u lam) du / (2u)``: closed forms for atoms and
+
+        centred Normal jumps, a self-checking quadrature otherwise.
+        """
+        lam = np.asarray(lam, dtype=float)
+        dist = self.dist
+        if isinstance(dist, AtomDist):
+            cin, si = _cin_si(lam @ dist.points.T)
+            atoms = 0.5 * (-cin + 1j * si) @ (self.rate * dist.probs)
+            return atoms - 0.5j * self.rate * (lam @ dist.truncated_mean())
+        if isinstance(dist, NormalDist) and dist.symmetric:
+            quad = np.einsum("...i,ij,...j->...", lam, dist.cov, lam)
+            return -0.25 * self.rate * _ein(0.5 * quad) + 0j
+        return _dilation_quadrature(self.integral, lam)
 
     def moment(self, gamma):
         return self.rate * self.dist.moment(tuple(gamma))
@@ -261,10 +259,6 @@ class StableJumps:
         lam = np.asarray(lam, dtype=float)
         return -self.scale * np.abs(lam[..., 0]) ** self.alpha + 0j
 
-    def psi_t_part(self, t, lam):
-        a = self.alpha
-        return self.integral(lam) * (math.exp(2 * a * t) - 1.0) / (2 * a)
-
     def psi_limit_part(self, lam):
         return self.integral(lam) / (2 * self.alpha)
 
@@ -281,124 +275,110 @@ class StableJumps:
             "polynomial calculus is not available"
         )
 
-    def _standard(self, rng, size):
-        """Chambers-Mallows-Stuck draw with char. function exp(-|lam|^alpha)."""
+    def _draw(self, scale, rng, size, m):
+        """Chambers-Mallows-Stuck draws with char. function exp(-scale |lam|^alpha)."""
+        if m != 1:
+            raise UnsupportedOperationError("stable component requires m = 1")
         a = self.alpha
         U = rng.uniform(-pi / 2, pi / 2, size=size)
         W = rng.exponential(1.0, size=size)
         if abs(a - 1.0) < 1e-12:
-            return np.tan(U)
-        return (
-            np.sin(a * U)
-            / np.cos(U) ** (1.0 / a)
-            * (np.cos((1.0 - a) * U) / W) ** ((1.0 - a) / a)
-        )
+            std = np.tan(U)
+        else:
+            std = (np.sin(a * U) / np.cos(U) ** (1.0 / a)
+                   * (np.cos((1.0 - a) * U) / W) ** ((1.0 - a) / a))
+        return (scale ** (1.0 / a) * std)[:, None]
 
     def sample(self, t, rng, size, m):
-        if m != 1:
-            raise UnsupportedOperationError("stable component requires m = 1")
-        return ((self.scale * t) ** (1.0 / self.alpha) * self._standard(rng, size))[:, None]
+        return self._draw(self.scale * t, rng, size, m)
 
     def deformed_sample(self, t, rng, size, m):
-        if m != 1:
-            raise UnsupportedOperationError("stable component requires m = 1")
-        scale_t = self.scale * (math.exp(2 * self.alpha * t) - 1.0) / (2 * self.alpha)
-        return (scale_t ** (1.0 / self.alpha) * self._standard(rng, size))[:, None]
+        a = self.alpha
+        return self._draw(self.scale * (math.exp(2 * a * t) - 1.0) / (2 * a), rng, size, m)
 
     def describe(self):
         return {"type": "stable", "alpha": self.alpha, "scale": self.scale}
 
 
-class AtomJumps:
-    """Finite-atom Levy measure ``sum_i w_i delta_{x_i}`` (w_i > 0)."""
+class AtomJumps(CompoundPoisson):
+    """Finite-atom Levy measure ``sum_i w_i delta_{x_i}`` (w_i > 0): the
+
+    compound Poisson component of rate ``sum_i w_i`` and law ``w / sum_i w_i``.
+    """
 
     def __init__(self, points, weights):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.weights = np.asarray(weights, dtype=float)
         if np.any(self.weights <= 0):
             raise ValueError("atom weights must be positive")
-        self.total = float(self.weights.sum())
-        self._dist = AtomDist(self.points, self.weights / self.total)
-
-    in_N_log = True
-    in_N_exp = True
-
-    @property
-    def symmetric(self):
-        return self._dist.symmetric
-
-    def _truncated_first(self):
-        inside = np.linalg.norm(self.points, axis=1) <= 1.0
-        return (self.weights[inside, None] * self.points[inside]).sum(axis=0)
-
-    def integral(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        phases = np.exp(1j * lam @ self.points.T)
-        return (phases - 1.0) @ self.weights - 1j * lam @ self._truncated_first()
-
-    def psi_t_part(self, t, lam):
-        return _scaled_time_integral(self.integral, t, lam)
-
-    def psi_limit_part(self, lam):
-        return _stationary_integral(self.integral, lam)
-
-    def moment(self, gamma):
-        gamma = np.asarray(gamma, dtype=int)
-        return float(np.sum(self.weights * np.prod(self.points**gamma, axis=1)))
-
-    def tail_mean(self, m):
-        outside = np.linalg.norm(self.points, axis=1) > 1.0
-        return (self.weights[outside, None] * self.points[outside]).sum(axis=0)
-
-    def sample(self, t, rng, size, m):
-        cp = CompoundPoisson(self.total, self._dist)
-        draw = cp.sample(t, rng, size, m)
-        # CompoundPoisson compensates with rate * truncated mean of the law,
-        # which equals the truncated first moment of the measure; nothing to fix.
-        return draw
-
-    def deformed_sample(self, t, rng, size, m):
-        cp = CompoundPoisson(self.total, self._dist)
-        return cp.deformed_sample(t, rng, size, m)
+        total = float(self.weights.sum())
+        super().__init__(total, AtomDist(self.points, self.weights / total))
 
     def describe(self):
         return {"type": "atoms", "count": len(self.weights)}
 
 
-def _scaled_time_integral(fn, t, lam, nodes=32):
-    """``int_0^t fn(e^{2s} lam) ds`` by composite Gauss-Legendre.
+# ---------------------------------------------------------------------------
+# special functions and the quadrature of the stationary jump exponent
+# ---------------------------------------------------------------------------
 
-    Works for single frequencies of shape (m,) and batches of shape (N, m).
+# Ein(x) = sum_k (-1)^(k+1) x^k / (k k!) and Cin(z) = sum_k (-1)^(k+1) z^2k / (2k (2k)!),
+# the second in powers of z^2; both series are used on [0, 1] only
+_EIN_SERIES = [0.0] + [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21)]
+_CIN_SERIES = [0.0] + [(-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(1, 13)]
+_QUAD_TOL = 1e-10
+
+
+def _ein(x):
+    """``Ein(x) = int_0^x (1 - e^{-u}) du / u`` for x >= 0: the power series
+
+    up to 1, ``E_1(x) + ln x + gamma`` above (Abramowitz-Stegun 5.1.39).
     """
-    lam = np.asarray(lam, dtype=float)
-    if t == 0.0:
-        return np.zeros(lam.shape[:-1], dtype=complex)
-    a, b = (0.0, t) if t > 0 else (t, 0.0)
-    panels = max(2, int(math.ceil(abs(t) / 0.5)))
-    total = np.zeros(lam.shape[:-1], dtype=complex)
-    edges = np.linspace(a, b, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        s, w = gauss_legendre(lo, hi, nodes)
-        vals = np.stack([fn(np.exp(2 * si) * lam) for si in s])
-        total = total + np.tensordot(w, vals, axes=1)
-    return total if t > 0 else -total
+    from scipy.special import exp1
+
+    x = np.asarray(x, dtype=float)
+    big = x > 1.0
+    xb = np.where(big, x, 2.0)
+    return np.where(big, exp1(xb) + np.log(xb) + np.euler_gamma,
+                    np.polynomial.polynomial.polyval(x, _EIN_SERIES))
 
 
-def _stationary_integral(fn, lam, tol=1e-14, max_s=60.0, nodes=32):
-    """``int_0^inf fn(e^{-2s} lam) ds`` with tail truncation."""
-    lam = np.asarray(lam, dtype=float)
-    total = np.zeros(lam.shape[:-1], dtype=complex)
-    lo = 0.0
-    while lo < max_s:
-        hi = lo + 1.0
-        s, w = gauss_legendre(lo, hi, nodes)
-        vals = np.stack([fn(np.exp(-2 * si) * lam) for si in s])
-        part = np.tensordot(w, vals, axes=1)
-        total = total + part
-        if np.max(np.abs(part)) < tol and np.max(np.abs(vals)) < tol:
-            break
-        lo = hi
-    return total
+def _cin_si(z):
+    """``Cin(z) = int_0^z (1 - cos u) du / u`` and ``Si(z)``: the power series
+
+    of Cin for |z| <= 1, ``gamma + ln|z| - Ci(|z|)`` above (A-S 5.2.2).
+    """
+    from scipy.special import sici
+
+    z = np.asarray(z, dtype=float)
+    a = np.abs(z)
+    big = a > 1.0
+    si, ci = sici(z)   # Ci is even: scipy returns Ci(|z|) for real z < 0
+    cin = np.where(big, np.euler_gamma + np.log(np.where(big, a, 1.0)) - ci,
+                   np.polynomial.polynomial.polyval(a * a, _CIN_SERIES))
+    return cin, si
+
+
+def _dilation_quadrature(fn, lam):
+    """``int_0^1 fn(u lam) du / (2u)`` by composite Gauss-Legendre on dyadic
+
+    panels ``[2^-k-1, 2^-k]`` (k < 12) and ``[0, 2^-12]``, every node in one
+    call of ``fn``.  Doubling the nodes must move no value by more than
+    ``_QUAD_TOL`` relative to ``max(1, |value|)``, or AccuracyError is raised.
+    """
+    edges = np.concatenate([[0.0], 2.0 ** np.arange(-12, 1)])
+
+    def rule(k):
+        u, w = composite_gl_edges(edges, k)
+        vals = fn(u.reshape((-1,) + (1,) * lam.ndim) * lam)
+        return np.tensordot(w / (2.0 * u), vals, axes=1)
+
+    coarse, fine = rule(16), rule(32)
+    drift = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+    if drift > _QUAD_TOL:
+        raise AccuracyError(f"stationary jump exponent did not converge (node doubling "
+                            f"moved it by {drift:.2e} > {_QUAD_TOL:.0e})")
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +402,19 @@ class LevyExponent:
                 m = np.atleast_2d(np.asarray(sigma)).shape[0]
             elif b is not None:
                 m = np.atleast_1d(np.asarray(b)).size
-            elif jumps is not None and hasattr(jumps, "points"):
-                m = np.atleast_2d(jumps.points).shape[1]
             elif jumps is not None and hasattr(jumps, "dist"):
                 m = jumps.dist.m
             else:
                 m = 1
         self.m = int(m)
-        self.sigma = (
-            np.zeros((self.m, self.m))
-            if sigma is None
-            else np.atleast_2d(np.asarray(sigma, dtype=float))
-        )
+        self.sigma = np.zeros((self.m, self.m)) if sigma is None else np.atleast_2d(
+            np.asarray(sigma, dtype=float))
         self.b = np.zeros(self.m) if b is None else np.atleast_1d(np.asarray(b, dtype=float))
         self.jumps = jumps if jumps is not None else NoJumps()
         if self.sigma.shape != (self.m, self.m) or self.b.shape != (self.m,):
             raise ValueError("sigma/b dimensions inconsistent")
+        if getattr(getattr(self.jumps, "dist", None), "m", self.m) != self.m:
+            raise ValueError(f"the jump law has dimension {self.jumps.dist.m}, not m = {self.m}")
         if np.max(np.abs(self.sigma - self.sigma.T)) > 1e-12:
             raise ValueError("sigma must be symmetric")
         w = np.linalg.eigvalsh(self.sigma)
@@ -460,11 +437,8 @@ class LevyExponent:
 
     @property
     def is_trivial(self):
-        return (
-            isinstance(self.jumps, NoJumps)
-            and np.all(self.sigma == 0.0)
-            and np.all(self.b == 0.0)
-        )
+        return (isinstance(self.jumps, NoJumps) and np.all(self.sigma == 0.0)
+                and np.all(self.b == 0.0))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -488,13 +462,11 @@ class LevyExponent:
         """``int_0^t psi(e^{2s} lam) ds`` (closed form for the continuous part)."""
         lam = self._coerce(lam)
         quad = np.einsum("...i,ij,...j->...", lam, self.sigma, lam)
-        out = (
-            -(math.exp(4 * t) - 1.0) / 4.0 * quad
-            + 1j * (math.exp(2 * t) - 1.0) / 2.0 * (lam @ self.b)
-        )
-        if not isinstance(self.jumps, NoJumps):
-            out = out + self.jumps.psi_t_part(t, lam)
-        return out
+        out = (-(math.exp(4 * t) - 1.0) / 4.0 * quad
+               + 1j * (math.exp(2 * t) - 1.0) / 2.0 * (lam @ self.b))
+        # the jump part by the dilation identity psi_t(lam) = psi_inf(e^{2t} lam) - psi_inf(lam)
+        jumps = self.jumps
+        return out + jumps.psi_limit_part(math.exp(2 * t) * lam) - jumps.psi_limit_part(lam)
 
     def psi_limit(self, lam):
         """Stationary exponent ``int_0^inf psi(e^{-2s} lam) ds``.
@@ -504,23 +476,17 @@ class LevyExponent:
         """
         if not self.in_N_log:
             raise UnsupportedOperationError(
-                "no stationary law: the jump measure lacks a logarithmic moment"
-            )
+                "no stationary law: the jump measure lacks a logarithmic moment")
         lam = self._coerce(lam)
         quad = np.einsum("...i,ij,...j->...", lam, self.sigma, lam)
-        out = -quad / 4.0 + 1j * (lam @ self.b) / 2.0
-        if not isinstance(self.jumps, NoJumps):
-            out = out + self.jumps.psi_limit_part(lam)
-        return out
+        return -quad / 4.0 + 1j * (lam @ self.b) / 2.0 + self.jumps.psi_limit_part(lam)
 
     # -- moments (exact interfaces for the polynomial calculus) -------------
 
     def require_moments(self, order):
-        try:
-            self.jumps.moment(tuple([order] + [0] * (self.m - 1)))
-            self.jumps.tail_mean(self.m)
-        except UnsupportedOperationError:
-            raise
+        """``self``, or UnsupportedOperationError when the jumps lack moments."""
+        self.jumps.moment(tuple([order] + [0] * (self.m - 1)))
+        self.jumps.tail_mean(self.m)
         return self
 
     def levy_moment(self, gamma):
@@ -546,9 +512,7 @@ class LevyExponent:
             cum[e] = 1j * self.effective_drift()[j] / 2.0
         for j in range(self.m):
             for k in range(j, self.m):
-                g = tuple(
-                    (1 if i == j else 0) + (1 if i == k else 0) for i in range(self.m)
-                )
+                g = tuple((1 if i == j else 0) + (1 if i == k else 0) for i in range(self.m))
                 coeff = -(self.sigma[j, k] if j == k else 2.0 * self.sigma[j, k])
                 jump = self.levy_moment(g) * (1j ** 2) / (_mi_factorial(g))
                 cum[g] = cum.get(g, 0.0) + (coeff + jump) / (2.0 * 2)
@@ -604,36 +568,70 @@ class LevyExponent:
 
     @classmethod
     def from_dict(cls, data):
+        """The exponent of a spec ``{"m", "sigma", "b", "jumps"}`` (all optional).
+
+        A spec that is not an object of this form, at any level (a missing
+        or unknown field, a value of the wrong type), raises ValueError.
+        """
+        _spec_kind(data, "exponent spec", None, "", {"": ((), _SPEC_FIELDS)})
         jumps = data.get("jumps", {"type": "none"})
-        jtype = jumps.get("type", "none")
-        if jtype == "none":
-            jump_obj = NoJumps()
-        elif jtype == "compound_poisson":
-            dist = jumps.get("dist", {"kind": "normal"})
-            kind = dist.get("kind", "normal")
-            if kind == "normal":
-                mean = dist.get("mean", [0.0])
-                cov = dist.get("cov", np.eye(len(np.atleast_1d(mean))).tolist())
-                jump_obj = CompoundPoisson(jumps["rate"], NormalDist(mean, cov))
-            elif kind == "atoms":
-                jump_obj = CompoundPoisson(
-                    jumps["rate"], AtomDist(dist["points"], dist["probs"])
-                )
+        jtype = _spec_kind(jumps, "jumps", "type", "none", _JUMP_FIELDS)
+        try:
+            if jtype == "none":
+                jump_obj = NoJumps()
+            elif jtype == "compound_poisson":
+                dist = jumps.get("dist", {"kind": "normal"})
+                if _spec_kind(dist, "jump dist", "kind", "normal", _DIST_FIELDS) == "normal":
+                    mean = dist.get("mean", [0.0])
+                    cov = dist.get("cov", np.eye(len(np.atleast_1d(mean))).tolist())
+                    jump_obj = CompoundPoisson(jumps["rate"], NormalDist(mean, cov))
+                else:
+                    jump_obj = CompoundPoisson(jumps["rate"],
+                                               AtomDist(dist["points"], dist["probs"]))
+            elif jtype == "stable":
+                jump_obj = StableJumps(jumps["alpha"], jumps.get("scale", 1.0))
             else:
-                raise ValueError(f"unknown jump distribution kind {kind!r}")
-        elif jtype == "stable":
-            jump_obj = StableJumps(jumps["alpha"], jumps.get("scale", 1.0))
-        elif jtype == "atoms":
-            jump_obj = AtomJumps(jumps["points"], jumps["weights"])
-        else:
-            raise ValueError(f"unknown jump type {jtype!r}")
-        return cls(sigma=data.get("sigma"), b=data.get("b"), jumps=jump_obj,
-                   m=data.get("m"))
+                jump_obj = AtomJumps(jumps["points"], jumps["weights"])
+            return cls(sigma=data.get("sigma"), b=data.get("b"), jumps=jump_obj,
+                       m=data.get("m"))
+        except TypeError as exc:
+            raise ValueError(f"malformed exponent spec: {exc}") from exc
 
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+_SPEC_FIELDS = ("m", "sigma", "b", "jumps")
+_JUMP_FIELDS = {  # type: (required, optional) fields besides "type"
+    "none": ((), ()),
+    "compound_poisson": (("rate",), ("dist",)),
+    "stable": (("alpha",), ("scale",)),
+    "atoms": (("points", "weights"), ()),
+}
+_DIST_FIELDS = {"normal": ((), ("mean", "cov")), "atoms": (("points", "probs"), ())}
+
+
+def _spec_kind(obj, where, tag, default, kinds):
+    """The kind of the spec object ``obj``, one of ``kinds``: its field
+
+    ``tag`` (``default`` when absent or when ``tag`` is None).  ``obj`` must
+    hold the kind's required fields and none outside its optional ones and
+    ``tag``; otherwise ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    kind = obj.get(tag, default) if tag else default
+    if kind not in kinds:
+        raise ValueError(f"{where}: unknown {tag} {kind!r}, expected one of {sorted(kinds)}")
+    required, optional = kinds[kind]
+    missing = [k for k in required if k not in obj]
+    unknown = sorted(set(obj) - set(required) - set(optional) - {tag})
+    if missing or unknown:
+        raise ValueError(f"{where}{f' {kind!r}' if tag else ''}: "
+                         + (f"lacks {missing}" if missing else f"has unknown fields {unknown}"))
+    return kind
 
 
 def _psd_sqrt(mat):

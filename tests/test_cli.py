@@ -356,6 +356,7 @@ def test_every_command_answers_on_every_builtin_spec(runner, tmp_path, monkeypat
     ["kernel", "invert", "--grid", "h:-1:1:1,v:-1:1:3", "--out", "q.csv"],
 ], ids=["verify-psi-dim", "spectrum-psi-dim", "hat-psi-dim", "eval-lam-dim", "limit-lam-dim",
         "charfn-lam-dim", "charfn-no-rows", "grid-one-node"])
+@pytest.mark.filterwarnings("error")
 def test_mismatched_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two_v.csv").write_text("h1,h2,v1,v2\n1,2,3,4\n5,6,7,8\n")
@@ -364,6 +365,31 @@ def test_mismatched_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
     assert not (tmp_path / "q.csv").exists() and not (tmp_path / "carnot-runs.jsonl").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"jumps": {"type": "compound_poisson"}},
+    [1, 2],
+    {"jumps": {"type": "stable", "alpha": [1.5]}},
+    {"sigma": [[1.0]], "drift": [0.5]},
+], ids=["no-rate", "list", "alpha-list", "unknown-key"])
+def test_malformed_psi_spec_is_a_usage_error(runner, tmp_path, spec):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["psi", "eval", "--psi", str(path), "--lam", "1"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["psi", "eval", "--psi", "builtin:h1", "--lam", "1"],
+    ["spectrum", "ou", "--spec", "builtin:h1", "--psi", "builtin:h1", "--degree", "2"],
+], ids=["psi-eval", "spectrum-ou"])
+def test_group_spec_as_psi_is_a_usage_error(runner, args):
+    # a group spec is not the trivial exponent: its fields are unknown to psi
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "unknown fields" in res.output
 
 
 _AXES = ["h", "-1", "1", "5", "v", "-1", "1", "5"]

@@ -110,6 +110,32 @@ def test_weyl_isometry_random_gaussians():
         assert FR.pf * hs / (2 * math.pi) == pytest.approx(l2, rel=1e-5)
 
 
+def _einsum_weyl(frame, f, size, npts):
+    """The Weyl entries by the N^3 phase array and three-operand einsum that
+
+    the row-wise assembly replaced (same nodes and extent).
+    """
+    eta = frame.eta[0]
+    L = 8.0 / math.sqrt(min(eta, 1.0))
+    xi, wxi = gauss_legendre(-L, L, npts)
+    y, wy = gauss_legendre(-L, L, npts)
+    XI, ZETA = np.meshgrid(xi, xi, indexing="ij")
+    fvals = f((ZETA - XI)[:, :, None], y[None, None, :])
+    phases = np.exp(1j * (0.5 * eta * (XI + ZETA))[:, :, None] * y[None, None, :])
+    K = np.einsum("aby,aby,y->ab", fvals, phases, wy)
+    BW = abs(frame.pf) ** 0.25 * hermite_phi_all(size, math.sqrt(eta) * xi) * wxi[None, :]
+    return np.einsum("gi,ij,aj->ga", BW, K, BW)
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.0])
+def test_weyl_entries_match_the_einsum_assembly(lam):
+    fr = frame_at(G, [lam])
+    f = lambda x, y: np.exp(-0.5 * x**2 - 0.6 * y**2) * (1.0 + 0.3 * x - 0.2 * y)
+    got = weyl_matrix(fr, f, 16, quad_points=60).entries
+    ref = _einsum_weyl(fr, f, 16, 120)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_weyl_diagonality_on_invariant_input():
     f = lambda x, y: np.exp(-0.6 * (x**2 + y**2))
     wm = weyl_matrix(FR, f, 16)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from carnot.errors import UnsupportedOperationError
+from carnot.errors import AccuracyError, UnsupportedOperationError
 from carnot.levy import (
     AtomDist,
     AtomJumps,
@@ -239,3 +239,91 @@ def test_json_roundtrip(tmp_path):
     psi = LevyExponent.from_json(p)
     assert psi.describe()["jumps"]["type"] == "compound_poisson"
     assert psi.in_N_exp
+
+
+# -- the closed forms of psi_inf and psi_t, and the quadrature for the rest --
+
+CLOSED_FORM_CASES = {
+    "cp-m1": LevyExponent(jumps=CompoundPoisson(3.0, NormalDist([0.0], [[1.0]])), m=1),
+    "cp-m2": LevyExponent(
+        jumps=CompoundPoisson(2.0, NormalDist([0.0, 0.0], [[1.0, 0.3], [0.3, 0.5]])), m=2),
+    "atoms": LevyExponent(jumps=AtomJumps([[0.5], [-0.5], [2.0]], [1.0, 1.0, 0.3]), m=1),
+    "cp-atoms": LevyExponent(
+        jumps=CompoundPoisson(2.0, AtomDist([[0.3], [1.5], [-0.8]], [0.5, 0.2, 0.3])), m=1),
+    "shifted-normal-0.2": LevyExponent(
+        sigma=[[0.5]], b=[0.7], jumps=CompoundPoisson(1.0, NormalDist([0.2], [[1.0]]))),
+    "shifted-normal-1.0": LevyExponent(jumps=CompoundPoisson(1.5, NormalDist([1.0], [[0.5]]))),
+}
+
+
+def _adaptive(fn, a, b):
+    """``int_a^b fn(s) ds`` of a complex integrand by adaptive quadrature."""
+    kw = dict(limit=1000, epsabs=1e-14, epsrel=1e-13)
+    return complex(quad(lambda s: fn(s).real, a, b, **kw)[0],
+                   quad(lambda s: fn(s).imag, a, b, **kw)[0])
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_psi_limit_and_psi_t_against_adaptive_quadrature(name):
+    # the defining integrals in s, up to |lam| = 40; e^{-80} |lam| is below
+    # every jump scale, so the s-range [0, 40] loses nothing
+    psi = CLOSED_FORM_CASES[name]
+    rng = np.random.default_rng(18)
+    t = 0.6
+    for mag in (0.3, 1.0, 5.0, 17.0, 40.0):
+        direction = rng.normal(size=psi.m)
+        lam = rng.choice([-1.0, 1.0]) * mag * direction / np.linalg.norm(direction)
+        ref = _adaptive(lambda s: complex(psi.psi(math.exp(-2 * s) * lam)), 0.0, 40.0)
+        assert abs(complex(psi.psi_limit(lam)) - ref) < 1e-12 * max(1.0, abs(ref))
+        ref = _adaptive(lambda s: complex(psi.psi(math.exp(2 * s) * lam)), 0.0, t)
+        assert abs(complex(psi.psi_t(t, lam)) - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_psi_limit_dilation_identity_exact(name):
+    psi = CLOSED_FORM_CASES[name]
+    rng = np.random.default_rng(19)
+    for _ in range(8):
+        t = rng.uniform(-0.7, 0.7)
+        lam = rng.normal(scale=3.0, size=psi.m)
+        lhs = psi.psi_limit(math.exp(2 * t) * lam)
+        rhs = psi.psi_limit(lam) + psi.psi_t(t, lam)
+        assert abs(complex(lhs - rhs)) < 1e-12
+
+
+def test_psi_limit_batch_matches_single_frequencies():
+    psi = CLOSED_FORM_CASES["shifted-normal-0.2"]
+    lam = np.linspace(-6.0, 6.0, 7)
+    batch = psi.psi_limit(lam)
+    single = [complex(psi.psi_limit(x)) for x in lam]
+    assert np.max(np.abs(batch - single)) < 1e-14
+
+
+def test_stationary_quadrature_raises_rather_than_truncates():
+    # narrow jumps far from the origin: e^{i u lam 50} turns about 300 times
+    # over u in (0, 1] at lam = 40, which the fixed rule cannot resolve
+    psi = LevyExponent(jumps=CompoundPoisson(1.0, NormalDist([50.0], [[1e-4]])), m=1)
+    with pytest.raises(AccuracyError, match="did not converge"):
+        psi.psi_limit(40.0)
+    with pytest.raises(AccuracyError, match="did not converge"):
+        psi.psi_t(0.5, 40.0)
+    assert np.isfinite(complex(psi.psi_limit(0.01)))
+
+
+@pytest.mark.parametrize("spec", [
+    {"jumps": {"type": "compound_poisson"}},
+    [1, 2],
+    {"n": 2, "m": 1, "A": [[[0.0, 1.0], [-1.0, 0.0]]]},
+    {"sigma": [[1.0]], "drift": [0.5]},
+    {"jumps": {"type": "stable", "alpha": [1.5]}},
+    {"jumps": {"type": "compound_poisson", "rate": 1.0, "dist": {"kind": "normal", "sd": 1}}},
+    {"jumps": {"type": "compound_poisson", "rate": 1.0, "dist": {"kind": "gamma"}}},
+    {"jumps": {"type": "atoms", "points": [[1.0]]}},
+    {"jumps": "none"},
+    {"m": 1, "jumps": {"type": "compound_poisson", "rate": 1.0,
+                       "dist": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}},
+], ids=["no-rate", "list", "group-spec", "unknown-key", "alpha-list", "unknown-dist-key",
+        "unknown-kind", "no-weights", "jumps-string", "dist-dimension"])
+def test_malformed_spec_is_a_value_error(spec):
+    with pytest.raises(ValueError):
+        LevyExponent.from_dict(spec)
