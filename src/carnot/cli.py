@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from importlib import resources
+from importlib import metadata, resources
 
 import click
 import numpy as np
@@ -36,7 +36,13 @@ from .kernels import (
 from .levy import LevyExponent
 from .polynomials import generator_matrix
 from .semigroups import coeigen_residual, eigen_decomposition, intertwine_residual
-from .simulate import PathConfig, estimate_charfn, simulate_levy_ou, simulate_levy_on_group
+from .simulate import (
+    PathConfig,
+    estimate_charfn,
+    simulate_levy_on_group,
+    simulate_levy_ou,
+    worker_count,
+)
 from .spectral import frame_at, spectrum_of_generator
 from .verify import CHECKS, QUICK, run_check
 
@@ -52,6 +58,10 @@ def _read_spec(spec):
         return resources.files("carnot.specs").joinpath(f"{name}.json").read_text()
     with open(spec) as fh:
         return fh.read()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _load_group(spec):
@@ -465,7 +475,11 @@ def verify_cmd(checks, spec, psi_spec, quick, manifest, seed, pair, beta, t_opt,
         "command": "verify",
         "argv": sys.argv[1:],
         "version": __version__,
-        "spec_sha256": hashlib.sha256(spec_text.encode()).hexdigest()[:16],
+        "numpy": np.__version__,
+        "scipy": metadata.version("scipy"),
+        "threads": worker_count(),
+        "spec_sha256": _sha256(spec_text),
+        "psi_sha256": None if psi_spec in (None, "none") else _sha256(_read_spec(psi_spec)),
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_time_s": round(time.time() - t0, 3),

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quadrature import oscillatory_rule, trapezoid_nd
 from .errors import UnsupportedOperationError
@@ -391,13 +390,18 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
 
     on the same uniform axes, the two horizontal ones with a node at 0
     (``ValueError`` otherwise): a Simpson sum over y of the vertical linear
-    convolutions ``f(y, .) * g(x_h - y_h, .)`` of length ``L = 2 n_v - 1``,
-    sampled at ``x_v - omega(y_h, x_h)/2`` by Catmull-Rom interpolation,
-    linear on the end intervals of the block and zero beyond.  Per pair
-    (x, y) the sample is one 4-tap filter, an rfft-side multiplier (one
-    irfft per y), read at an integer window offset; block cells 0, L - 2
-    and L - 1, where the filter wraps, take the edge rule from the raw block
-    values.  Pairs whose window misses the block are skipped.
+    convolutions ``f(y, .) * g(x_h - y_h, .)``, sampled at ``x_v - c`` with
+    ``c = omega(y_h, x_h)/2`` by band-limited interpolation of period ``Lp``.
+
+    On the rfft side in v the shift is the phase ``exp(-i mu c)``, and with
+    ``omega(y, x) = a (y_1 x_2 - y_2 x_1)`` the horizontal sum at each
+    frequency is a twisted convolution: per x_2 row, an FFT convolution over
+    y_1 of f times ``exp(-i mu a y_1 x_2/2)``, then the phase
+    ``exp(i mu a y_2 x_1/2)`` and a sum over y_2; one irfft per x at the end.
+    ``Lp = 2 n_v - 1 + 2 ceil(c_max / dv)``, where ``c_max`` is the largest
+    |c| over the pairs that occur (x, y and x - y on the grid), so the
+    shifted blocks do not wrap; ``Lp`` is odd, so the rfft side has no
+    Nyquist term to break the real shift.  It is recorded in ``meta``.
     """
     if G.n != 2 or G.m != 1:
         raise UnsupportedOperationError("grid convolution implemented for n=2, m=1")
@@ -408,45 +412,37 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
     (_, mid1), (_, mid2), (dv, _) = (_uniform_axis(a, i < 2) for i, a in enumerate(ax))
     n1, n2, nv = len(x1), len(x2), len(xv)
     w1, w2, wv = (_simpson_weights(a) for a in ax)
-    L = 2 * nv - 1
-    F = np.fft.rfft(grid_f.values * wv, L, axis=2)
-    G_fft = np.fft.rfft(grid_g.values, L, axis=2)
-    # block shifts by -1..2 cells, and the block values at cells 0, 1, L-2, L-1
-    kappa = np.arange(nv)
-    taps = np.exp(2j * math.pi * np.outer(np.arange(-1, 3), kappa) / L)
-    ends = np.where(kappa > 0, 2.0 / L, 1.0 / L)[:, None] * np.exp(
-        2j * math.pi * np.outer(kappa, [0, 1, L - 2, L - 1]) / L)
-    # c = y_1 omega(e_1, x_h)/2 + y_2 omega(e_2, x_h)/2
-    X = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
-    half_omega = 0.5 * G.omega(np.eye(2)[:, None, None, :], X[None])[..., 0]
-    out = np.zeros((n1, n2, nv))
-    padded = np.zeros((n1 * n2, nv + L + nv))          # blocks between zero margins
-
-    for i1, y1 in enumerate(x1):
-        a_lo, a_hi = max(0, i1 - mid1), min(n1, n1 + i1 - mid1)
-        sl1 = slice(a_lo - i1 + mid1, a_hi - i1 + mid1)
-        for i2, y2 in enumerate(x2):
-            b_lo, b_hi = max(0, i2 - mid2), min(n2, n2 + i2 - mid2)
-            sl2 = slice(b_lo - i2 + mid2, b_hi - i2 + mid2)
-            c = y1 * half_omega[0, a_lo:a_hi, b_lo:b_hi] + y2 * half_omega[1, a_lo:a_hi, b_lo:b_hi]
-            pos = (-xv[0] - c) / dv                      # block position of x_v = xv[0]
-            k0 = np.floor(pos)
-            live = (k0 > -nv) & (k0 < L - 1)
-            u, k0, g_hat = pos[live] - k0[live], k0[live].astype(int), G_fft[sl1, sl2][live]
-            u2, u3 = u * u, u * u * u
-            W = 0.5 * np.stack([2 * u2 - u - u3, 2 - 5 * u2 + 3 * u3,
-                                u + 4 * u2 - 3 * u3, u3 - u2], axis=-1)
-            b_hat = ((w1[i1] * w2[i2]) * F[i1, i2]) * g_hat
-            rows = padded[: len(u)]
-            block = np.fft.irfft((W @ taps.view(float)).view(complex) * b_hat, L,
-                                 axis=-1, out=rows[:, nv:nv + L])
-            raw = (b_hat @ ends).real
-            block[:, 0] = (1 - u) * raw[:, 0] + u * raw[:, 1]
-            block[:, L - 2] = (1 - u) * raw[:, 2] + u * raw[:, 3]
-            block[:, L - 1] = 0.0
-            window = sliding_window_view(rows, nv, axis=-1)[np.arange(len(u)), k0 + nv]
-            out[a_lo:a_hi, b_lo:b_hi][live] += window
-    return DensityGrid(axes=list(ax), values=out, meta={"kind": "convolution"})
+    a = float(G.omega(np.eye(2)[0], np.eye(2)[1])[0])
+    # |y_1 x_2 - y_2 x_1| is linear in x on the box of the x with x - y on the
+    # grid, so its largest value is at a corner: ends_i[k] are the lowest and
+    # highest x_i for y_i = x_i[k]
+    k1, k2 = np.arange(n1) - mid1, np.arange(n2) - mid2
+    ends1 = x1[np.stack([np.maximum(k1, 0), np.minimum(k1, 0) + n1 - 1], axis=-1)]
+    ends2 = x2[np.stack([np.maximum(k2, 0), np.minimum(k2, 0) + n2 - 1], axis=-1)]
+    cross = (x1[:, None, None, None] * ends2[None, :, None, :]
+             - x2[None, :, None, None] * ends1[:, None, :, None])
+    Lp = 2 * nv - 1 + 2 * math.ceil(0.5 * abs(a) * np.max(np.abs(cross)) / dv)
+    kappa = np.arange(Lp // 2 + 1)
+    theta = math.pi * a * kappa / (dv * Lp)          # c = (a/2) cross -> phase theta cross
+    # kappa first, the y_1 (z_1) axis last and contiguous; g reversed in z_2,
+    # so that the z_2 = x_2 - y_2 rows of one x_2 row are a slice
+    F = np.fft.rfft(grid_f.values * wv, Lp, axis=2) * np.outer(w1, w2)[..., None]
+    F = np.ascontiguousarray(F.transpose(2, 1, 0))
+    G_fft = np.fft.fft(np.fft.rfft(grid_g.values[:, ::-1], Lp, axis=2).transpose(2, 1, 0),
+                       2 * n1 - 1)
+    phase_y2x1 = np.exp(1j * theta[:, None, None] * np.multiply.outer(x2, x1))
+    spec = np.empty((n1, n2, len(kappa)), dtype=complex)
+    for i2 in range(n2):
+        lo, hi = max(0, i2 + mid2 - n2 + 1), min(n2, i2 + mid2 + 1)   # y_2 with z_2 on the grid
+        f_row = F[:, lo:hi] * np.exp(-1j * theta[:, None] * (x1 * x2[i2]))[:, None, :]
+        rev = n2 - 1 - i2 - mid2
+        conv = np.fft.fft(f_row, 2 * n1 - 1) * G_fft[:, rev + lo:rev + hi]
+        conv = np.fft.ifft(conv)[..., mid1:mid1 + n1]
+        spec[:, i2] = np.einsum("kji,kji->ik", conv, phase_y2x1[:, lo:hi])
+    # block cell k holds v = 2 x_v[0] + k dv: output node j is cell j - x_v[0]/dv
+    spec *= np.exp(2j * math.pi * kappa * (-xv[0] / dv) / Lp)
+    values = np.fft.irfft(spec, Lp)[..., :nv]
+    return DensityGrid(axes=list(ax), values=values, meta={"kind": "convolution", "Lp": Lp})
 
 
 def _uniform_axis(axis, origin):

@@ -407,6 +407,10 @@ class LevyExponent:
             else:
                 m = 1
         self.m = int(m)
+        if self.m < 1:
+            raise ValueError(f"the vertical dimension must be at least 1, got m = {self.m}")
+        if isinstance(jumps, StableJumps) and self.m != 1:
+            raise ValueError(f"stable jumps are a component on R^1, not on R^m with m = {self.m}")
         self.sigma = np.zeros((self.m, self.m)) if sigma is None else np.atleast_2d(
             np.asarray(sigma, dtype=float))
         self.b = np.zeros(self.m) if b is None else np.atleast_1d(np.asarray(b, dtype=float))

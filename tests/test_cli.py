@@ -310,6 +310,35 @@ def test_crashed_check_is_a_recorded_failure(runner, tmp_path, monkeypatch):
     assert spectrum["passed"] is True
 
 
+def test_manifest_record_keys(runner, tmp_path, monkeypatch):
+    import scipy
+
+    from carnot import verify as V
+
+    manifest = tmp_path / "m.jsonl"
+    monkeypatch.setenv("CARNOT_THREADS", "3")
+    for psi in ([], ["--psi", "builtin:psi_gaussian"]):
+        runner.invoke(main, ["verify", "eigen", "--manifest", str(manifest)] + psi)
+
+    def crash(G=None):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(V.CHECKS, "eigen", crash)
+    runner.invoke(main, ["verify", "eigen", "--manifest", str(manifest)])
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    for record in records:
+        assert set(record) == {"command", "argv", "version", "numpy", "scipy", "threads",
+                               "spec_sha256", "psi_sha256", "seed", "timestamp",
+                               "wall_time_s", "results"}
+        assert (record["numpy"], record["scipy"]) == (np.__version__, scipy.__version__)
+        assert record["threads"] == 3
+    plain, with_psi, crashed = records
+    assert plain["psi_sha256"] is None and len(with_psi["psi_sha256"]) == 16
+    assert with_psi["psi_sha256"] != with_psi["spec_sha256"]
+    assert set(plain["results"][0]) >= {"check", "passed", "elapsed_s"}
+    assert set(crashed["results"][0]) == {"check", "passed", "elapsed_s", "error"}
+
+
 def _answers(res):
     # an answer (0), a failed check (1) or a usage error (2); never a traceback
     return res.exit_code in (0, 1, 2) and (res.exception is None
@@ -379,6 +408,20 @@ def test_malformed_psi_spec_is_a_usage_error(runner, tmp_path, spec):
     res = runner.invoke(main, ["psi", "eval", "--psi", str(path), "--lam", "1"])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec, lam, message", [
+    # a stable component lives on R^1; on m = 2 it used to ignore lam_2
+    ({"m": 2, "jumps": {"type": "stable", "alpha": 1.5}}, "1,2", "m = 2"),
+    # m = 0 used to fail inside numpy with a message that did not name m
+    ({"m": 0}, "1", "m = 0"),
+], ids=["stable-m2", "m0"])
+def test_exponent_dimension_is_a_usage_error(runner, tmp_path, spec, lam, message):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["psi", "eval", "--psi", str(path), "--lam", lam])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert message in res.output and "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("args", [

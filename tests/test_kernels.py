@@ -325,51 +325,31 @@ def test_group_convolution_semigroup_smoke():
 
 
 def _reference_group_convolve(G, grid_f, grid_g):
-    # the per-y loop with Catmull-Rom gathers that group_convolve replaced
+    # a direct sum over the pairs (x, y) with x, y and x - y on the grid: the
+    # vertical linear convolution of each pair, sampled at x_v - omega(y, x)/2
+    # by the Dirichlet kernel D(u) = sin(pi u)/(Lp sin(pi u/Lp)) of period Lp,
+    # with Lp by the rule of group_convolve and max |c| over all the pairs
     ax = grid_f.axes
-    x1, x2, xv = ax
     f, g = grid_f.values, grid_g.values
-    n1, n2, nv = len(x1), len(x2), len(xv)
+    (n1, n2, nv), L = f.shape, 2 * f.shape[2] - 1
     w1, w2, wv = (_simpson_weights(a) for a in ax)
-    d1, dv = x1[1] - x1[0], xv[1] - xv[0]
-    mid1 = int(round(-x1[0] / d1))
-    mid2 = int(round(-x2[0] / (x2[1] - x2[0])))
-    conv_len = 2 * nv - 1
-    G_fft = np.fft.rfft(g, conv_len, axis=2)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    out = np.zeros((n1, n2, nv))
-    base = 2 * xv[0]
-    for i1, y1 in enumerate(x1):
-        a_lo, a_hi = max(0, i1 - mid1), min(n1, n1 + i1 - mid1)
-        sl1 = slice(a_lo - i1 + mid1, a_hi - i1 + mid1)
-        for i2, y2 in enumerate(x2):
-            b_lo, b_hi = max(0, i2 - mid2), min(n2, n2 + i2 - mid2)
-            sl2 = slice(b_lo - i2 + mid2, b_hi - i2 + mid2)
-            Fv = np.fft.rfft(f[i1, i2] * wv, conv_len)
-            block = np.fft.irfft(Fv[None, None, :] * G_fft[sl1, sl2], conv_len, axis=2)
-            xa, xb = X1[a_lo:a_hi, b_lo:b_hi], X2[a_lo:a_hi, b_lo:b_hi]
-            c = 0.5 * (G.A[0][0, 1] * (y1 * xb - y2 * xa))
-            pos = (xv[None, None, :] - c[:, :, None] - base) / dv
-            out[a_lo:a_hi, b_lo:b_hi] += (w1[i1] * w2[i2]) * _catmull_rom(block, pos)
-    return out
-
-
-def _catmull_rom(block, pos):
-    L = block.shape[-1]
-    idx = np.floor(pos).astype(int)
-    u = pos - idx
-    valid = (idx >= 1) & (idx < L - 2)
-    near = (idx >= 0) & (idx < L - 1)
-    p0, p1, p2, p3 = (np.take_along_axis(block, np.clip(idx + k, 0, L - 1), axis=-1)
-                      for k in (-1, 0, 1, 2))
-    cubic = 0.5 * (
-        2 * p1
-        + u * (p2 - p0)
-        + u**2 * (2 * p0 - 5 * p1 + 4 * p2 - p3)
-        + u**3 * (3 * (p1 - p2) + p3 - p0)
-    )
-    linear = (1 - u) * p1 + u * p2
-    return np.where(valid, cubic, np.where(near, linear, 0.0))
+    dv = ax[2][1] - ax[2][0]
+    idx = np.array(list(np.ndindex(n1, n2)))
+    pts = np.column_stack([ax[0][idx[:, 0]], ax[1][idx[:, 1]]])
+    z = idx[None, :] - idx[:, None] + [int(round(-a[0] / (a[1] - a[0]))) for a in ax[:2]]
+    occurs = np.all((z >= 0) & (z < [n1, n2]), axis=-1)            # [y, x]
+    c = 0.5 * G.omega(pts[:, None, :], pts[None, :, :])[..., 0]
+    Lp = L + 2 * math.ceil(np.max(np.abs(c[occurs])) / dv)
+    # block cell k read at x_v[j] - c sits at j - k + (-x_v[0] - c)/dv
+    j_minus_k = np.arange(nv)[:, None] - np.arange(L)[None, :] + L - 1
+    out = np.zeros((n1 * n2, nv))
+    for (i1, i2), zy, cy, ok in zip(idx, z, c, occurs):
+        blocks = np.array([np.convolve(wv * f[i1, i2], g[k1, k2]) for k1, k2 in zy[ok]])
+        u = np.arange(1 - L, nv)[None, :] + (-ax[2][0] - cy[ok, None]) / dv
+        with np.errstate(invalid="ignore"):
+            kernel = np.where(u == 0, 1.0, np.sin(np.pi * u) / (Lp * np.sin(np.pi * u / Lp)))
+        out[ok] += w1[i1] * w2[i2] * np.einsum("pk,pjk->pj", blocks, kernel[:, j_minus_k])
+    return out.reshape(f.shape), Lp
 
 
 @pytest.mark.parametrize("h_axes, v", [
@@ -378,13 +358,10 @@ def _catmull_rom(block, pos):
     # even vertical count (trapezoid weights), off-centre origin nodes
     ((np.linspace(-3, 4.5, 16), np.linspace(-4, 3, 15)), np.linspace(-1.95, 1.95, 20)),
 ])
-def test_group_convolve_matches_gather_reference(h_axes, v):
-    # max |c| = max |omega(y, x)|/2 > 3 max|v|: the twisted samples cover the
-    # cubic interior, the linear end intervals, the zero cells beyond the
-    # block and pairs whose whole window misses it.  The rule jumps by the
-    # end value of the block at the block positions 0 and L - 1, where
-    # rounding picks the side; no sample of these grids lands exactly there
-    # (checked in exact arithmetic: c = k/8 with |k| <= 72)
+def test_group_convolve_matches_direct_pair_sum(h_axes, v):
+    # max |c| = max |omega(y, x)|/2 > 3 max|v|: most shifted samples leave the
+    # vertical axis, and the period Lp must hold them without wrapping.  The
+    # even vertical count puts x_v[0] half a cell off the convolution nodes
     ax = list(h_axes) + [v]
     f = invert_to_grid(heat_slice(H1, 0.5), ax, calibrate=False)
     g = invert_to_grid(perturbed_slice(H1, PSI_GAUSS, 0.5), ax, calibrate=False)
@@ -393,10 +370,11 @@ def test_group_convolve_matches_gather_reference(h_axes, v):
     inside = np.all((x - y >= pts.min(axis=0) - 1e-9) & (x - y <= pts.max(axis=0) + 1e-9), axis=-1)
     c = 0.5 * np.abs(y[..., 0] * x[..., 1] - y[..., 1] * x[..., 0])
     assert np.max(c[inside]) > 3 * np.max(np.abs(v))
-    got = group_convolve(H1, f, g).values
-    ref = _reference_group_convolve(H1, f, g)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(got - group_convolve(H1, g, f).values)) > 1e-6 * np.max(np.abs(ref))
+    conv = group_convolve(H1, f, g)
+    ref, Lp = _reference_group_convolve(H1, f, g)
+    assert conv.meta["Lp"] == Lp
+    assert np.max(np.abs(conv.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(conv.values - group_convolve(H1, g, f).values)) > 1e-6 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("which, axis, message", [
