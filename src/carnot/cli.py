@@ -249,12 +249,11 @@ def spectrum_ou(spec, psi_spec, degree):
     G, _ = _load_group(spec)
     p = _load_psi(psi_spec, G.m)
     gm = generator_matrix(G, p, degree)
-    eigs = gm.eigenvalues()
     out = []
     for k, (_, polys) in enumerate(eigen_decomposition(G, p, degree)):
         out.append({
             "eigenvalue": -k,
-            "algebraic_multiplicity": int(np.sum(np.abs(eigs + k) < 1e-8)),
+            "algebraic_multiplicity": gm.algebraic_multiplicity(-float(k)),
             "geometric_multiplicity": gm.geometric_multiplicity(-float(k)),
             "eigenfunctions": [
                 {"".join(f"h{i+1}^{a}" for i, a in enumerate(key[0]) if a)

@@ -9,6 +9,7 @@ rational; structure-matrix entries are lifted to Fractions exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,12 +229,88 @@ def apply_Z(G: CarnotGroup, i, p: GradedPolynomial) -> GradedPolynomial:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _laplacian_tables(n, m, raw):
+    """Exact coefficient tables of ``sum_i Z_i^2`` for the structure
+
+    matrices ``A`` (m x n x n, the bytes ``raw``).
+
+    With ``Z_i = d_i + B_i`` and ``B_i = sum_{l,j} c_lji h_j d_{v_l}``,
+    ``c_lji = A_l[j, i] / 2``, the square expands as
+
+        sum_i Z_i^2 = sum_i d_i^2 + 2 sum_i B_i d_i + sum_i [d_i, B_i]
+                      + sum_i B_i^2,
+
+    with ``[d_i, B_i] = sum_l c_lii d_{v_l}`` and
+    ``sum_i B_i^2 = sum S[(l, j), (l', j')] h_j h_j' d_{v_l} d_{v_l'}``,
+    ``S = sum_i c_lji c_l'j'i``.  The quadratic table is summed over the
+    orderings of ``{l, l'}`` and ``{j, j'}``, which give the same term.
+    """
+    A = np.frombuffer(raw, dtype=float).reshape(m, n, n)
+    c = {(l, j, i): HALF * _exactify(float(A[l, j, i]))
+         for l in range(m) for j in range(n) for i in range(n) if A[l, j, i] != 0.0}
+    drift = [(i, l, j, 2 * coef) for (l, j, i), coef in c.items()]
+    comm = {}
+    for (l, j, i), coef in c.items():
+        if j == i:
+            comm[l] = comm.get(l, 0) + coef
+    quad = {}
+    for (l, j, i), c1 in c.items():
+        for (l2, j2, i2), c2 in c.items():
+            if i2 == i:
+                key = (min(l, l2), max(l, l2), min(j, j2), max(j, j2))
+                quad[key] = quad.get(key, 0) + c1 * c2
+    return (
+        tuple(drift),
+        tuple((l, v) for l, v in comm.items() if v != 0),
+        tuple((l, l2, j, j2, v) for (l, l2, j, j2), v in quad.items() if v != 0),
+    )
+
+
 def sub_laplacian(G: CarnotGroup, p: GradedPolynomial) -> GradedPolynomial:
-    """Horizontal Laplacian ``sum_i Z_i^2``; drops graded degree by two."""
-    out = GradedPolynomial.zero(p.nh, p.mv)
-    for i in range(G.n):
-        out = out + apply_Z(G, i, apply_Z(G, i, p))
-    return out
+    """Horizontal Laplacian ``sum_i Z_i^2``; drops graded degree by two.
+
+    Applied term by term through the exact tables of
+    :func:`_laplacian_tables`; equal, as Fractions, to
+    ``sum_i apply_Z(G, i, apply_Z(G, i, p))``.
+    """
+    drift, comm, quad = _laplacian_tables(G.n, G.m, G.A.tobytes())
+    out = {}
+
+    def add(a, g, coef):
+        key = (tuple(a), tuple(g))
+        out[key] = out.get(key, 0) + coef
+
+    for (a, g), coef in p.terms.items():
+        for i, ai in enumerate(a):
+            if ai >= 2:
+                na = list(a)
+                na[i] -= 2
+                add(na, g, coef * (ai * (ai - 1)))
+        if not any(g):
+            continue
+        for i, l, j, c2 in drift:
+            if a[i] and g[l]:
+                na, ng = list(a), list(g)
+                na[i] -= 1
+                na[j] += 1
+                ng[l] -= 1
+                add(na, ng, coef * (a[i] * g[l]) * c2)
+        for l, cl in comm:
+            if g[l]:
+                ng = list(g)
+                ng[l] -= 1
+                add(a, ng, coef * g[l] * cl)
+        for l, l2, j, j2, s in quad:
+            ways = g[l] * (g[l2] - (l == l2))
+            if ways > 0:
+                na, ng = list(a), list(g)
+                na[j] += 1
+                na[j2] += 1
+                ng[l] -= 1
+                ng[l2] -= 1
+                add(na, ng, coef * ways * s)
+    return GradedPolynomial(p.nh, p.mv, out)
 
 
 def dilation_generator(p: GradedPolynomial) -> GradedPolynomial:
@@ -334,27 +411,52 @@ class GeneratorMatrix:
     nh: int
     mv: int
 
+    @functools.cached_property
+    def ladder(self):
+        """Layer dimensions ``[dim_0, ..., dim_cap]`` when the entries carry
+
+        the exact ladder structure, else None.
+
+        The structure: every entry on or below the diagonal degree blocks is
+        0.0 off the diagonal, and the diagonal is exactly ``-deg``.  Then the
+        matrix is block upper triangular in the degree order, with diagonal
+        blocks ``-k I`` for distinct k, so it is diagonalisable: ``-k`` is
+        an eigenvalue whose algebraic and geometric multiplicities both
+        equal the dimension of the degree-k layer.  Entries are float
+        images of Fractions, so the exact ``==`` tests are sound.
+        """
+        degs = np.array([sum(a) + 2 * sum(g) for a, g in self.basis])
+        lower = degs[:, None] >= degs[None, :]
+        np.fill_diagonal(lower, False)
+        if np.any(self.entries[lower] != 0.0) or np.any(np.diag(self.entries) != -degs):
+            return None
+        return np.bincount(degs, minlength=self.degree_cap + 1).tolist()
+
+    @property
+    def method(self):
+        """``"structure"`` when :attr:`ladder` certifies the spectrum, else ``"svd"``."""
+        return "svd" if self.ladder is None else "structure"
+
+    def _ladder_count(self, eigenvalue):
+        k = -complex(eigenvalue)
+        if k.imag == 0 and k.real.is_integer() and 0 <= k.real < len(self.ladder):
+            return self.ladder[int(k.real)]
+        return 0
+
     def eigenvalues(self):
+        if self.ladder is not None:
+            return np.repeat(-np.arange(len(self.ladder), dtype=float), self.ladder)
         return np.linalg.eigvals(self.entries)
 
-    def algebraic_multiplicities(self, tol=1e-8):
-        eigs = np.sort_complex(self.eigenvalues())
-        groups = {}
-        for e in eigs:
-            for key in groups:
-                if abs(e - key) < tol:
-                    groups[key] += 1
-                    break
-            else:
-                groups[e] = 1
-        return {complex(k): v for k, v in sorted(groups.items(), key=lambda kv: kv[0].real)}
+    def algebraic_multiplicity(self, eigenvalue, tol=1e-8):
+        if self.ladder is not None:
+            return self._ladder_count(eigenvalue)
+        return int(np.sum(np.abs(self.eigenvalues() - eigenvalue) < tol))
 
     def geometric_multiplicity(self, eigenvalue, tol=None):
-        mat = self.entries - eigenvalue * np.eye(len(self.basis))
-        s = np.linalg.svd(mat, compute_uv=False)
-        scale = max(np.max(s), 1.0)
-        cut = (tol if tol is not None else 1e-10) * scale
-        return int(np.sum(s < cut))
+        if self.ladder is not None:
+            return self._ladder_count(eigenvalue)
+        return svd_nullity(self.entries, eigenvalue, tol)
 
     def _vector_to_poly(self, vec):
         terms = {key: c for key, c in zip(self.basis, vec) if abs(c) > 1e-13}
@@ -368,6 +470,16 @@ class GeneratorMatrix:
                 raise ValueError("polynomial exceeds the degree cap of the matrix")
             vec[idx[key]] = float(c)
         return vec
+
+
+def svd_nullity(entries, eigenvalue, tol=None):
+    """Dimension of ``ker(entries - eigenvalue I)``: singular values below
+
+    ``tol`` (default 1e-10) times the largest one (at least 1).
+    """
+    s = np.linalg.svd(entries - eigenvalue * np.eye(len(entries)), compute_uv=False)
+    cut = (tol if tol is not None else 1e-10) * max(np.max(s), 1.0)
+    return int(np.sum(s < cut))
 
 
 def operator_matrix(op, nh, mv, degree_cap):

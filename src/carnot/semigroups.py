@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._quadrature import composite_gl
 from .errors import UnsupportedOperationError
@@ -100,6 +99,8 @@ class SemigroupOperator:
             psi.require_moments(p.graded_degree())
         if self.kind in ("heat", "levy-heat"):
             return _heat_apply(self.group, psi, self.t, p)
+        from scipy.linalg import expm
+
         cap = p.graded_degree()
         gm = generator_matrix(self.group, psi, cap)
         vec = gm.poly_to_vector(p)
@@ -662,6 +663,8 @@ def nonnormality_witness(G, psi, t=1.0, cap=3):
     on degree 3, where eigenfunctions with distinct eigenvalues overlap:
     e.g. ``<h2 v - h1/2, h1> = -1/2`` on the first Heisenberg group.
     """
+    from scipy.linalg import expm
+
     basis, gram = weighted_gram(G, psi, cap=cap)
     gm = generator_matrix(G, psi, cap)
     M = expm(t * gm.entries)

@@ -74,30 +74,37 @@ def default_exponents(m=1):
 def check_eigenvalue_ladder(G=None, cap=4, tol=1e-10):
     """Generator spectrum on polynomials: eigenvalues 0..-cap with the
 
-    homogeneous-layer dimensions as multiplicities.
+    homogeneous-layer dimensions as multiplicities.  The spectrum is read
+    from the matrix's exact block structure (``method: structure``), or
+    from a float eigensolver and SVD where that structure fails.
     """
     G = G or heisenberg(1)
     gm = generator_matrix(G, None, cap)
-    eigs = np.sort(gm.eigenvalues().real)
+    eigs = gm.eigenvalues()
     counts = homogeneous_dimension_counts(G.n, G.m, cap)
     expected = np.sort(np.concatenate([[-k] * c for k, c in enumerate(counts)]))
-    err = float(np.max(np.abs(eigs - expected)))
-    imag = float(np.max(np.abs(gm.eigenvalues().imag)))
+    err = float(np.max(np.abs(np.sort(eigs.real) - expected)))
+    imag = float(np.max(np.abs(eigs.imag)))
+    geo = [gm.geometric_multiplicity(-float(k)) for k in range(cap + 1)]
     return CheckResult(
-        "eigenvalue-ladder", err < tol and imag < tol,
-        {"max_eig_err": err, "multiplicities": counts},
+        "eigenvalue-ladder", err < tol and imag < tol and geo == counts,
+        {"method": gm.method, "max_eig_err": err, "multiplicities": counts},
     )
 
 
 def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
-    """Eigenvalue multisets and geometric multiplicities do not depend on
+    """Eigenvalue multisets and both multiplicities do not depend on the
 
-    the vertical perturbation.
+    vertical perturbation.  Multiplicities are compared exactly; the
+    eigenvalue residual is exactly 0 when every matrix carries the
+    ladder structure (``method: structure``).
     """
     G = G or heisenberg(1)
     exps = exponents or default_exponents(G.m)
     reference = None
     detail = {}
+    methods = set()
+    residual = 0.0
     ok = True
     for name, psi in exps.items():
         try:
@@ -105,15 +112,19 @@ def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
         except UnsupportedOperationError as exc:
             detail[f"skipped_{name}"] = str(exc)
             continue
+        methods.add(gm.method)
         eigs = np.sort(gm.eigenvalues().real)
+        alg = [gm.algebraic_multiplicity(-float(k)) for k in range(cap + 1)]
         geo = [gm.geometric_multiplicity(-float(k)) for k in range(cap + 1)]
         if reference is None:
-            reference = (eigs, geo)
+            reference = (eigs, alg, geo)
             detail["geometric"] = geo
         else:
-            ok &= float(np.max(np.abs(eigs - reference[0]))) < tol
-            ok &= geo == reference[1]
-    return CheckResult("isospectrality", ok, detail)
+            residual = max(residual, float(np.max(np.abs(eigs - reference[0]))))
+            ok &= alg == reference[1] and geo == reference[2]
+    detail["method"] = "svd" if "svd" in methods else "structure"
+    detail["residual"] = residual
+    return CheckResult("isospectrality", ok and residual < tol, detail)
 
 
 def _named_exponents(spec, default_names, m):

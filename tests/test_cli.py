@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,29 @@ def test_spectrum_ou(runner):
     assert geos == [1, 2, 4]
     # the explicit eigenfunction of h1^2 is Q_{-1/2} h1^2 = h1^2 - 1
     assert {"h1^2": 1.0, "1": -1.0} in data["levels"][2]["eigenfunctions"]
+
+
+def test_spectrum_ou_quaternionic_ladder(runner):
+    res = invoke(runner, ["spectrum", "ou", "--spec", "builtin:quaternionic", "--degree", "6"])
+    levels = json.loads(res.output)["levels"]
+    expect = [1, 4, 13, 32, 71, 140, 259]
+    assert [lvl["geometric_multiplicity"] for lvl in levels] == expect
+    assert [lvl["algebraic_multiplicity"] for lvl in levels] == expect
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # expm is imported where it is called, so start-up does not load scipy.linalg
+    import carnot
+
+    src = str(Path(carnot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, carnot.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_spectrum_ou_stable_rejected(runner):
@@ -284,6 +311,19 @@ def test_quick_checks_pass_or_skip(spec, check):
     if result.skipped:
         reasons = _skip_reasons(result)
         assert reasons and all(len(r) > len("skipped: ") for r in reasons)
+
+
+@pytest.mark.parametrize("spec", ["h1", "h2", "quaternionic", "free2(3)"])
+@pytest.mark.parametrize("check", ["eigen", "isospectral"])
+def test_ladder_checks_are_exact(spec, check):
+    from carnot.groups import free_step2
+
+    G = free_step2(3) if spec == "free2(3)" else _builtin_group(spec)
+    result = run_check(check, G=G)
+    assert result.passed and not result.skipped
+    assert result.detail["method"] == "structure"
+    residual = "max_eig_err" if check == "eigen" else "residual"
+    assert result.detail[residual] == 0.0
 
 
 def test_spectrum_description_with_a_radical():

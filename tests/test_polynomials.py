@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from carnot.errors import UnsupportedOperationError
-from carnot.groups import heisenberg
+from carnot.groups import free_step2, heisenberg, nonisotropic_heisenberg, quaternionic_h_type
 from carnot.levy import CompoundPoisson, LevyExponent, NormalDist, StableJumps
 from carnot.polynomials import (
+    GeneratorMatrix,
     GradedPolynomial,
     apply_Z,
     dilation_generator,
@@ -16,8 +17,10 @@ from carnot.polynomials import (
     operator_matrix,
     ou_generator,
     sub_laplacian,
+    svd_nullity,
     vertical_generator,
 )
+from carnot.verify import default_exponents
 
 H1 = heisenberg(1)
 
@@ -161,17 +164,108 @@ def test_isospectrality_with_multiplicities():
         LevyExponent(sigma=[[1.0]], b=[0.5]),
     ]
     cap = 4
-    reference = None
+    expect = {0: 1, -1: 2, -2: 4, -3: 6, -4: 9}
     for psi in psis:
         gm = generator_matrix(H1, psi, cap)
-        alg = {round(k.real): mult for k, mult in gm.algebraic_multiplicities().items()}
-        geo = {j: gm.geometric_multiplicity(-float(j)) for j in range(cap + 1)}
-        if reference is None:
-            reference = (alg, geo)
-        else:
-            assert alg == reference[0]
-            assert geo == reference[1]
-    assert reference[0] == {0: 1, -1: 2, -2: 4, -3: 6, -4: 9}
+        assert gm.method == "structure"
+        eigs = np.linalg.eigvals(gm.entries)
+        counted = {-j: int(np.sum(np.abs(eigs + j) < 1e-8)) for j in range(cap + 1)}
+        alg = {-j: gm.algebraic_multiplicity(-float(j)) for j in range(cap + 1)}
+        geo = {-j: gm.geometric_multiplicity(-float(j)) for j in range(cap + 1)}
+        svd = {-j: svd_nullity(gm.entries, -float(j)) for j in range(cap + 1)}
+        assert alg == counted == expect
+        assert geo == svd == expect
+
+
+def _reference_sub_laplacian(G, p):
+    out = GradedPolynomial.zero(p.nh, p.mv)
+    for i in range(G.n):
+        out = out + apply_Z(G, i, apply_Z(G, i, p))
+    return out
+
+
+def _random_poly(rng, nh, mv, terms=6, max_deg=3):
+    out = {}
+    for _ in range(terms):
+        a = tuple(int(x) for x in rng.integers(0, max_deg + 1, size=nh))
+        g = tuple(int(x) for x in rng.integers(0, max_deg, size=mv))
+        out[(a, g)] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+    return GradedPolynomial(nh, mv, out)
+
+
+def _non_skew_group():
+    # the group stores A as given after validation; replacing it with a
+    # matrix that has a diagonal exercises the [d_i, B_i] term
+    G = heisenberg(1)
+    G.A = np.array([[[0.75, 1.0], [-0.5, 1.0 / 3.0]]])
+    return G
+
+
+@pytest.mark.parametrize("G", [
+    H1,
+    heisenberg(2),
+    quaternionic_h_type(),
+    free_step2(3),
+    nonisotropic_heisenberg([0.3, 1.7]),
+    _non_skew_group(),
+], ids=["h1", "h2", "quaternionic", "free2(3)", "nonisotropic(0.3,1.7)", "non-skew"])
+def test_sub_laplacian_equals_sum_of_squared_fields(G):
+    rng = np.random.default_rng(2217)
+    for _ in range(12):
+        p = _random_poly(rng, G.n, G.m)
+        assert sub_laplacian(G, p).terms == _reference_sub_laplacian(G, p).terms
+
+
+GROUPS = {"h1": H1, "h2": heisenberg(2), "free2(3)": free_step2(3),
+          "quaternionic": quaternionic_h_type()}
+LADDER_CASES = (
+    [("h1", name, 8) for name in ("none", "gaussian", "cp", "gaussian-drift")]
+    + [(g, "none", 6) for g in ("h2", "free2(3)", "quaternionic")]
+    + [("h2", "gaussian-drift", 6), ("h2", "cp", 6)]
+)
+
+
+@pytest.mark.parametrize("gname,psi_name,cap", LADDER_CASES)
+def test_generator_matrix_matches_field_square_assembly(gname, psi_name, cap):
+    # entries bitwise equal to the assembly through sum_i Z_i(Z_i p)
+    G = GROUPS[gname]
+    psi = default_exponents(G.m)[psi_name]
+
+    def reference_generator(p):
+        out = _reference_sub_laplacian(G, p) + dilation_generator(p)
+        if psi is not None:
+            out = out + vertical_generator(psi, p)
+        return out
+
+    basis, ref = operator_matrix(reference_generator, G.n, G.m, cap)
+    gm = generator_matrix(G, psi, cap)
+    assert gm.basis == basis
+    assert gm.entries.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("gname,psi_name,cap", LADDER_CASES)
+def test_ladder_certificate_matches_svd(gname, psi_name, cap):
+    G = GROUPS[gname]
+    gm = generator_matrix(G, default_exponents(G.m)[psi_name], cap)
+    assert gm.method == "structure"
+    assert gm.ladder == homogeneous_dimension_counts(G.n, G.m, cap)
+    for k in range(cap + 1):
+        assert gm.geometric_multiplicity(-float(k)) == svd_nullity(gm.entries, -float(k))
+    assert gm.geometric_multiplicity(0.5) == gm.algebraic_multiplicity(-float(cap + 1)) == 0
+
+
+def test_ladder_certificate_falls_back_to_svd():
+    # h1 d/dh2 maps h2 to h1 inside the degree-1 block: a Jordan block at -1
+    def op(p):
+        return dilation_generator(p) + p.diff_h(1).mul_h(0)
+
+    basis, mat = operator_matrix(op, 2, 1, 2)
+    gm = GeneratorMatrix(basis=basis, entries=mat, degree_cap=2, nh=2, mv=1)
+    assert gm.ladder is None and gm.method == "svd"
+    assert gm.algebraic_multiplicity(-1.0) == 2
+    assert gm.geometric_multiplicity(-1.0) == 1
+    # on degree 2 it chains h2^2 -> h2 h1 -> h1^2; the kernel is h1^2 and v
+    assert gm.geometric_multiplicity(-2.0) == 2
 
 
 def test_stable_jumps_rejected():
