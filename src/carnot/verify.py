@@ -122,8 +122,9 @@ def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
         else:
             residual = max(residual, float(np.max(np.abs(eigs - reference[0]))))
             ok &= alg == reference[1] and geo == reference[2]
-    detail["method"] = "svd" if "svd" in methods else "structure"
-    detail["residual"] = residual
+    if methods:
+        detail["method"] = "svd" if "svd" in methods else "structure"
+        detail["residual"] = residual
     return CheckResult("isospectrality", ok and residual < tol, detail)
 
 
