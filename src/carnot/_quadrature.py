@@ -30,8 +30,9 @@ def composite_gl_edges(edges, nodes_per_panel=16):
 
 
 def oscillatory_rule(limit, vmax, nodes_per_panel=12, max_panel=1.0):
-    """Rule for ``integral over [-limit, limit]`` of an envelope times
-    ``exp(-i lam v)`` with ``|v| <= vmax``.
+    """Rule on ``[0, limit]`` for the half-line inversion of a Hermitian
+
+    envelope against ``exp(-i lam v)`` with ``|v| <= vmax``.
 
     Panel width is capped so each panel sees at most about half an
     oscillation period of the fastest mode; panels are graded toward the
@@ -39,11 +40,9 @@ def oscillatory_rule(limit, vmax, nodes_per_panel=12, max_panel=1.0):
     |lam|) are still integrated accurately.
     """
     width = min(max_panel, np.pi / (2.0 * max(vmax, 1e-9)))
-    half_panels = max(2, int(np.ceil(limit / width)))
-    edges = np.linspace(0.0, limit, half_panels + 1)
+    edges = np.linspace(0.0, limit, max(2, int(np.ceil(limit / width))) + 1)
     graded = [edges[1] / 64.0, edges[1] / 16.0, edges[1] / 4.0]
-    pos = np.concatenate([[0.0], graded, edges[1:]])
-    return composite_gl_edges(np.concatenate([-pos[::-1], pos[1:]]), nodes_per_panel)
+    return composite_gl_edges(np.concatenate([[0.0], graded, edges[1:]]), nodes_per_panel)
 
 
 def trapezoid_nd(values, axes):

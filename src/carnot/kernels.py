@@ -21,7 +21,10 @@ factor ``exp(-|nu|^2 / 2)``.
 Everything partial-Fourier is computed in one place each: the Mehler
 (sinh/coth) hat in :func:`mehler_hat`, its area (sech/tanh) counterpart in
 :func:`mehler_area`, and the vertical inversion ``(2 pi)^{-1} int F(lam)
-e^{-i lam v} dlam`` in :func:`fourier_invert`.  Hats and vertical
+e^{-i lam v} dlam`` in :func:`fourier_invert`.  Every integrand inverted is
+Hermitian, ``F(-lam) = conj F(lam)``: psi is the exponent of a real Levy
+process, the hats depend on lam through ``|lam|`` and the test functions
+are real; so the inversion is real arithmetic on lam > 0.  Hats and vertical
 characteristic functions are available on every step-2 group; real-space
 inversion (grids, point values) needs m = 1, where the oscillator planes
 do not move with ``lam``.
@@ -88,24 +91,27 @@ def mehler_area(eta, s):
 
 
 def fourier_invert(envelope, rows, lam, w, v):
-    """Vertical inversion ``(2 pi)^{-1} int F(lam) e^{-i lam v} dlam`` on the
+    """Vertical inversion ``(2 pi)^{-1} int F(lam) e^{-i lam v} dlam`` of a
 
-    rule ``(lam, w)``, for ``F = rows[i] * envelope``.  ``rows`` is None (a
-    single row of ones; the result has shape ``(len(v),)``) or a pair
-    ``(n, block)`` where ``block(lo, hi)`` returns rows ``lo:hi`` of the
-    ``(n, len(lam))`` factor; the rows are taken about 4e6 entries at a time.
+    Hermitian integrand, ``F(-lam) = conj F(lam)``, from a rule ``(lam, w)``
+    on lam > 0: the real ``pi^{-1} sum_k w_k [Re F(lam_k) cos(lam_k v) +
+    Im F(lam_k) sin(lam_k v)]``, one real matmul of the interleaved (Re, Im)
+    pairs of ``F`` against the interleaved (cos, sin) rows.  ``F = rows[i] *
+    envelope``; ``rows`` is None (a single row of ones; the result has shape
+    ``(len(v),)``) or a pair ``(n, block)`` where ``block(lo, hi)`` returns
+    rows ``lo:hi`` of the ``(n, len(lam))`` factor; the rows are taken about
+    4e6 entries at a time.
     """
-    phase = np.exp(-1j * np.outer(lam, v))
-    env = envelope * w
-    if rows is None:
-        return env @ phase / (2 * math.pi)
-    n, block = rows
-    out = np.empty((n, len(v)), dtype=complex)
+    arg = np.outer(lam, v)
+    trig = np.stack([np.cos(arg), np.sin(arg)], axis=1).reshape(2 * len(lam), len(v))
+    env = np.asarray(envelope, dtype=complex) * (w / math.pi)
+    n, block = rows if rows is not None else (1, lambda lo, hi: 1.0)
+    out = np.empty((n, len(v)))
     chunk = max(1, int(4e6 / max(len(lam), 1)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        out[lo:hi] = (block(lo, hi) * env) @ phase / (2 * math.pi)
-    return out
+        out[lo:hi] = (block(lo, hi) * env).view(float) @ trig
+    return out if rows is not None else out[0]
 
 
 def heat_hat(G: CarnotGroup, t, z, lam, nu=()):
@@ -282,9 +288,9 @@ class _HatProfile:
         return out
 
     def lambda_rule(self, vmax, tol=1e-12):
-        """Oscillatory rule for ``|v| <= vmax`` up to the frequency cutoff
+        """Half-line oscillatory rule for ``|v| <= vmax`` and its frequency
 
-        where the zero-point envelope drops below ``tol``.
+        cutoff, where the zero-point envelope drops below ``tol``.
         """
         G, t = self.G, self.slice.t
         eta_sum = float(np.sum(self.eta_unit))
@@ -294,7 +300,7 @@ class _HatProfile:
             if eta_sum * t * lam - G.d * math.log(max(lam, 1.0)) > -math.log(tol):
                 break
             lam *= 1.5
-        return oscillatory_rule(lam, vmax, nodes_per_panel=12)
+        return (*oscillatory_rule(lam, vmax, nodes_per_panel=12), lam)
 
 
 def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplier=None):
@@ -315,7 +321,7 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
         raise ValueError(f"need {G.n + 1} axes, got {len(axes)}")
     H = np.stack([c.ravel() for c in np.meshgrid(*axes[: G.n], indexing="ij")], axis=1)
     V = axes[G.n]
-    lam, w = profile.lambda_rule(float(np.max(np.abs(V))))
+    lam, w, cutoff = profile.lambda_rule(float(np.max(np.abs(V))))
     lam_batch = lam[:, None]
     env = slice_.multiplier(lam_batch)
     if vertical_multiplier is not None:
@@ -326,10 +332,9 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
         return profile.values(zsq[lo:hi], rsq[lo:hi], lam_batch)
 
     vals = fourier_invert(env, (len(zsq), hats), lam, w, V)
-    shape = tuple(len(ax) for ax in axes)
-    values = vals.real[inverse].reshape(shape)
-    grid = DensityGrid(axes=list(axes), values=values,
-                       meta={"kind": slice_.kind, "t": slice_.t})
+    values = vals[inverse].reshape(tuple(len(ax) for ax in axes))
+    grid = DensityGrid(axes=list(axes), values=values, meta={
+        "kind": slice_.kind, "t": slice_.t, "lam_nodes": len(lam), "lam_cutoff": cutoff})
     if calibrate:
         mass = grid.mass()
         grid.meta["c_norm"] = 1.0 / mass
@@ -342,10 +347,10 @@ def invert_at(slice_: KernelSlice, h, v, tol=1e-12):
     """Point value of the inverted kernel (m = 1 only)."""
     profile = _HatProfile(slice_)
     v = np.atleast_1d(np.asarray(v, dtype=float))[:1]
-    lam, w = profile.lambda_rule(abs(float(v[0])) + 1.0, tol)
+    lam, w, _ = profile.lambda_rule(abs(float(v[0])) + 1.0, tol)
     zsq, rsq = profile.planes(np.asarray(h, dtype=float)[None, :])
     W = profile.values(zsq, rsq, lam[:, None])[0] * slice_.multiplier(lam[:, None])
-    return float(fourier_invert(W, None, lam, w, v)[0].real) * slice_.c_norm
+    return float(fourier_invert(W, None, lam, w, v)[0]) * slice_.c_norm
 
 
 def co_eigenfunction(G: CarnotGroup, psi, beta, axes, floor=1e-300):

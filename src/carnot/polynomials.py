@@ -326,54 +326,59 @@ def dilation_generator(p: GradedPolynomial) -> GradedPolynomial:
     return GradedPolynomial(p.nh, p.mv, out)
 
 
-def vertical_generator(psi, p: GradedPolynomial) -> GradedPolynomial:
-    """Vertical jump generator acting on a polynomial, as the exact finite sum
+def vertical_operator(psi, mv, order):
+    """Vertical jump generator on polynomials of vertical degree <= ``order``,
 
         tr(sigma Hess_v p) + <b + tail mean, grad_v p>
-        + sum_{|gamma| >= 2} m_gamma(kappa) d^gamma_v p / gamma!.
+        + sum_{|gamma| >= 2} m_gamma(kappa) d^gamma_v p / gamma!,
+
+    as a function of p: the exact coefficient of each ``d^gamma_v`` (the
+    drift and the jump moments) is computed once, not per polynomial.
     """
-    mv = p.mv
     if psi is None or psi.is_trivial:
-        return GradedPolynomial.zero(p.nh, mv)
+        return lambda p: GradedPolynomial.zero(p.nh, mv)
     if psi.m != mv:
         raise ValueError("exponent dimension does not match the vertical layer")
-    deg_v = max((sum(g) for (a, g) in p.terms), default=0)
-    out = GradedPolynomial.zero(p.nh, mv)
-    # diffusion part
+    from .levy import _mi_factorial, _multi_indices
+
+    unit = [tuple(int(i == j) for i in range(mv)) for j in range(mv)]
+    coefs = {}
     for j in range(mv):
         for k in range(mv):
-            s = psi.sigma[j, k]
-            if s != 0.0:
-                out = out + p.diff_v(j).diff_v(k).scale(_exactify(s))
-    # drift plus jump tail
+            if psi.sigma[j, k] != 0.0:
+                gamma = tuple(x + y for x, y in zip(unit[j], unit[k]))
+                coefs[gamma] = coefs.get(gamma, 0) + _exactify(psi.sigma[j, k])
     drift = psi.effective_drift()
     for j in range(mv):
         if drift[j] != 0.0:
-            out = out + p.diff_v(j).scale(_exactify(float(drift[j])))
-    # jump moments of order >= 2
-    from .levy import _mi_factorial, _multi_indices
-
-    for gamma in _multi_indices(mv, deg_v, min_total=2):
+            coefs[unit[j]] = _exactify(float(drift[j]))
+    for gamma in _multi_indices(mv, order, min_total=2):
         mom = psi.levy_moment(gamma)
-        if mom == 0.0:
-            continue
-        q = p
-        for l, power in enumerate(gamma):
-            for _ in range(power):
-                q = q.diff_v(l)
-            if q.is_zero():
-                break
-        if not q.is_zero():
-            out = out + q.scale(_exactify(float(mom)) / _mi_factorial(gamma))
-    return out
+        if mom != 0.0:
+            coefs[gamma] = coefs.get(gamma, 0) + _exactify(float(mom)) / _mi_factorial(gamma)
+
+    def apply(p):
+        out = GradedPolynomial.zero(p.nh, mv)
+        for gamma, c in coefs.items():
+            q = p
+            for l, power in enumerate(gamma):
+                for _ in range(power):
+                    q = q.diff_v(l)
+            if not q.is_zero():
+                out = out + q.scale(c)
+        return out
+
+    return apply
+
+
+def vertical_generator(psi, p: GradedPolynomial) -> GradedPolynomial:
+    """The vertical jump generator of :func:`vertical_operator` applied to p."""
+    return vertical_operator(psi, p.mv, max((sum(g) for _, g in p.terms), default=0))(p)
 
 
 def ou_generator(G: CarnotGroup, psi, p: GradedPolynomial) -> GradedPolynomial:
     """Full generator: horizontal Laplacian + dilation generator + vertical part."""
-    out = sub_laplacian(G, p) + dilation_generator(p)
-    if psi is not None and not psi.is_trivial:
-        out = out + vertical_generator(psi, p)
-    return out
+    return sub_laplacian(G, p) + dilation_generator(p) + vertical_generator(psi, p)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +516,8 @@ def generator_matrix(G: CarnotGroup, psi, degree_cap) -> GeneratorMatrix:
             raise UnsupportedOperationError(
                 f"generator matrix needs jump moments up to order {degree_cap}: {exc}"
             ) from exc
+    vertical = vertical_operator(psi, G.m, degree_cap // 2)
     basis, mat = operator_matrix(
-        lambda p: ou_generator(G, psi, p), G.n, G.m, degree_cap
+        lambda p: sub_laplacian(G, p) + dilation_generator(p) + vertical(p), G.n, G.m, degree_cap
     )
     return GeneratorMatrix(basis=basis, entries=mat, degree_cap=degree_cap, nh=G.n, mv=G.m)

@@ -11,8 +11,8 @@ group semigroups and Euclidean Ornstein-Uhlenbeck semigroups:
 All polynomial paths are exact finite computations; integral operators are
 evaluated by quadrature against inverted kernels or one-dimensional Fourier
 representations.  The Fourier paths are m = 1 only; they share the
-kernel module's area profile and vertical inversion, on the one fixed
-lambda rule ``LAM_RULE``.
+kernel module's area profile and Hermitian half-line inversion, on the one
+fixed lambda rule ``LAM_RULE`` on lam > 0.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .polynomials import (
     monomial_basis,
     ou_generator,
     sub_laplacian,
-    vertical_generator,
+    vertical_operator,
 )
 from .spectral import frame_at
 
@@ -62,10 +62,10 @@ __all__ = [
 ]
 
 
-# The fixed lambda rule of the one-dimensional vertical transport: every
-# integrand it meets carries a Gaussian test transform that is negligible
-# beyond |lam| = 40.
-LAM_RULE = composite_gl(-40.0, 40.0, 200, 8)
+# The fixed lambda rule of the one-dimensional vertical transport, on the
+# half line lam > 0 of the Hermitian inversion: every integrand it meets
+# carries a Gaussian test transform that is negligible beyond |lam| = 40.
+LAM_RULE = composite_gl(0.0, 40.0, 100, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +114,12 @@ def _heat_apply(G, psi, t, p):
     Both operators strictly lower the graded degree, so the series
     terminates after at most half the degree of ``p`` steps.
     """
-    def step(q):
-        r = sub_laplacian(G, q)
-        if psi is not None and not psi.is_trivial:
-            r = r + vertical_generator(psi, q)
-        return r
-
+    vertical = vertical_operator(psi, p.mv, max((sum(g) for _, g in p.terms), default=0))
     out = p
     term = p
     k = 1
     while True:
-        term = step(term)
+        term = sub_laplacian(G, term) + vertical(term)
         if term.is_zero():
             return out
         out = out + term.scale(t**k / math.factorial(k))
@@ -256,7 +251,7 @@ def euclidean_levy_ou_apply(psi, t, f_hat, v_points, reflected=False):
         raise UnsupportedOperationError("vertical transport implemented for m = 1")
     lam, w = LAM_RULE
     sign = 1.0 if reflected else -1.0
-    mult = np.ones_like(lam, dtype=complex)
+    mult = 1.0
     if psi is not None and not psi.is_trivial:
         mult = np.exp(np.asarray(psi.psi_t(t, sign * math.exp(-2 * t) * lam), dtype=complex))
     v = math.exp(-2 * t) * np.asarray(v_points, dtype=float)
@@ -293,7 +288,7 @@ def ou_apply_vertical(G, psi, t, f_hat, H, V):
     zsq, _, inverse = profile.classes(np.atleast_2d(H))
     hsq = zsq * math.exp(-2.0 * t)
     sech, coef = mehler_area(profile.eta(lam), s)                # (L,), (L, d)
-    mult = np.ones_like(lam, dtype=complex)
+    mult = 1.0
     if psi is not None and not psi.is_trivial:
         mult = np.exp(np.asarray(psi.psi_t(t, math.exp(-2 * t) * lam), dtype=complex))
 
@@ -490,10 +485,10 @@ def _lambda_residual(G, psi, t, test, tol):
     vx = np.linspace(-3.6, 3.6, 49)
     qgrid = invert_to_grid(heat_slice(G, 0.5), [hx, hx, vx], calibrate=False)
     H = np.stack([c.ravel() for c in np.meshgrid(hx, hx, indexing="ij")], axis=1)
-    pf = ou_apply_vertical(G, psi, t, f_hat, H, (v_targets[:, None] + vx).ravel()).real
+    pf = ou_apply_vertical(G, psi, t, f_hat, H, (v_targets[:, None] + vx).ravel())
     pf = pf.reshape(len(hx), len(hx), len(v_targets), len(vx)) * qgrid.values[:, :, None, :]
     rhs = np.trapezoid(np.trapezoid(np.trapezoid(pf, vx), hx, axis=0), hx, axis=0)
-    res = float(np.max(np.abs(lhs.real - rhs)))
+    res = float(np.max(np.abs(lhs - rhs)))
     return IntertwinerReport("lambda", f"gaussian(a={a})", t, res, tol if tol else 1e-4)
 
 
@@ -615,8 +610,7 @@ def coeigen_residual(G, psi, beta, t, test="v", axes=None, tol=1e-3):
             phi_hat = lambda lam: 1j * lam * np.sqrt(2 * math.pi) * np.exp(-(lam**2) / 2.0)
         else:
             raise ValueError(f"unsupported co-eigen test {test!r}")
-        pf = ou_apply_vertical(G, psi, t, phi_hat, H, vx)
-        pf_vals = pf.real.reshape(len(hx), len(hy), len(vx))
+        pf_vals = ou_apply_vertical(G, psi, t, phi_hat, H, vx).reshape(len(hx), len(hy), len(vx))
         f_vals = (phi(vx)[None, None, :]) * np.ones((len(hx), len(hy), 1))
 
     def integ(arr):

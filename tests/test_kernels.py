@@ -6,8 +6,10 @@ import pytest
 from carnot.errors import DegenerateFrameError, UnsupportedOperationError
 from carnot._quadrature import composite_gl
 from carnot.groups import CarnotGroup, free_step2, h_type, heisenberg
+from carnot import kernels, semigroups
 from carnot.kernels import (
     DensityGrid,
+    _HatProfile,
     _simpson_weights,
     co_eigenfunction,
     fourier_invert,
@@ -207,20 +209,116 @@ def test_mehler_hat_integrates_to_area_profile():
 
 
 def test_fourier_invert_gaussian_closed_form():
-    # (2 pi)^{-1} int e^{-a lam^2} e^{-i lam v} dlam = (4 pi a)^{-1/2} e^{-v^2 / (4 a)}
-    lam, w = composite_gl(-40.0, 40.0, 200, 8)
+    # (2 pi)^{-1} int e^{-a lam^2} e^{-i lam v} dlam = (4 pi a)^{-1/2} e^{-v^2 / (4 a)},
+    # from the half line lam > 0 of the even integrand
+    lam, w = composite_gl(0.0, 40.0, 100, 8)
     v = np.linspace(-6.0, 6.0, 13)
     one = fourier_invert(np.exp(-0.25 * lam**2), None, lam, w, v)
     assert one.shape == v.shape
     assert np.max(np.abs(one - np.exp(-(v**2)) / math.sqrt(math.pi))) < 1e-12
-    # 2600 rows run in two chunks of the 4e6-entry budget
-    a = np.linspace(0.0, 1.0, 2600)
+    # 5200 rows run in two chunks of the 4e6-entry budget
+    a = np.linspace(0.0, 1.0, 5200)
     rows = (len(a), lambda lo, hi: np.exp(-a[lo:hi, None] * lam[None, :] ** 2))
     got = fourier_invert(np.exp(-0.25 * lam**2), rows, lam, w, v)
     aa = 0.25 + a[:, None]
     exact = np.exp(-(v[None, :] ** 2) / (4 * aa)) / np.sqrt(4 * math.pi * aa)
     assert got.shape == (len(a), len(v))
     assert np.max(np.abs(got - exact)) < 1e-12
+
+
+# a drifted, asymmetric exponent: psi is complex, so the envelopes have an
+# imaginary part and the sine half of the inversion is exercised
+PSI_SKEW = LevyExponent(sigma=[[0.5]], b=[0.5],
+                        jumps=CompoundPoisson(2.0, NormalDist([0.7], [[1.0]])), m=1)
+
+
+def _mirror(lam, w):
+    return np.concatenate([-lam[::-1], lam]), np.concatenate([w[::-1], w])
+
+
+def _use_two_sided(monkeypatch):
+    """Swap the half-line inversion for the two-sided complex formula
+
+    ``(2 pi)^{-1} sum_k w_k F(lam_k) e^{-i lam_k v}`` on the mirrored rules,
+    so that the callers evaluate their integrands at -lam as well.  Records
+    the largest imaginary part of the result relative to its real part.
+    """
+    imag = []
+
+    def complex_invert(envelope, rows, lam, w, v):
+        phase = np.exp(-1j * np.outer(lam, v))
+        factor = 1.0 if rows is None else rows[1](0, rows[0])
+        out = (factor * envelope * w) @ phase / (2 * math.pi)
+        imag.append(np.max(np.abs(out.imag)) / np.max(np.abs(out.real)))
+        return out.real
+
+    rule = _HatProfile.lambda_rule
+    monkeypatch.setattr(_HatProfile, "lambda_rule",
+                        lambda self, vmax, tol=1e-12: (*_mirror(*rule(self, vmax, tol)[:2]), None))
+    monkeypatch.setattr(semigroups, "LAM_RULE", _mirror(*semigroups.LAM_RULE))
+    monkeypatch.setattr(kernels, "fourier_invert", complex_invert)
+    monkeypatch.setattr(semigroups, "fourier_invert", complex_invert)
+    return imag
+
+
+def _grid_axes():
+    return [np.linspace(-2.0, 2.0, 7), np.linspace(-1.5, 2.5, 6), np.linspace(-3.0, 2.0, 11)]
+
+
+def _bump_hat(lam):
+    # off-centre bump exp(-(u - 0.8)^2): a complex, Hermitian transform
+    return np.sqrt(math.pi) * np.exp(1j * 0.8 * lam - lam**2 / 4.0)
+
+
+def _callers():
+    x = np.linspace(-1.5, 1.5, 5)
+    H = np.stack([c.ravel() for c in np.meshgrid(x, x, indexing="ij")], axis=1)
+    V = np.linspace(-2.0, 2.5, 9)
+    gauss_hat = lambda lam: np.sqrt(math.pi) * np.exp(-(lam**2) / 4.0)
+    jump_mult = lambda lam: np.exp(np.asarray(PSI_SKEW.psi_limit(-lam), dtype=complex))
+    return {
+        "grid-heat": lambda: invert_to_grid(heat_slice(H1, 0.6), _grid_axes()).values,
+        "grid-perturbed": lambda: invert_to_grid(perturbed_slice(H1, PSI_SKEW, 0.6),
+                                                 _grid_axes()).values,
+        "grid-atoms": lambda: invert_to_grid(
+            perturbed_slice(H1, LevyExponent(jumps=AtomJumps([[1.5], [-0.4]], [0.8, 2.0]), m=1),
+                            0.4), _grid_axes()).values,
+        "grid-invariant": lambda: invert_to_grid(invariant_slice(H1, PSI_SKEW),
+                                                 _grid_axes()).values,
+        "grid-coeigen": lambda: invert_to_grid(
+            invariant_slice(H1, PSI_SKEW), _grid_axes(), calibrate=False,
+            vertical_multiplier=lambda lb: -1j * lb[:, 0]).values,   # (-i lam)^beta, beta = 1
+        "invert-at": lambda: [invert_at(perturbed_slice(H1, PSI_SKEW, 0.6), [0.3, -0.5], v)
+                              for v in (-1.2, 0.0, 0.7)],
+        "ou-apply-vertical": lambda: semigroups.ou_apply_vertical(
+            H1, PSI_SKEW, 0.4, _bump_hat, H, V),
+        "euclidean-ou": lambda: np.concatenate([
+            semigroups.euclidean_levy_ou_apply(PSI_SKEW, 0.4, _bump_hat, V, reflected=r)
+            for r in (False, True)]),
+        "convolve-fourier": lambda: semigroups.convolve_fourier(gauss_hat, jump_mult, V),
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(_callers()))
+def test_half_line_inversion_matches_two_sided_complex(caller, monkeypatch):
+    # the half-line result of every caller against the two-sided complex
+    # formula on the mirrored rule, with the integrand evaluated at -lam
+    half = np.asarray(_callers()[caller]())
+    imag = _use_two_sided(monkeypatch)
+    full = np.asarray(_callers()[caller]())
+    assert half.dtype == np.float64 and half.shape == full.shape
+    assert np.max(np.abs(half - full)) <= 1e-13 * np.max(np.abs(full))
+    # the two-sided result is real: the integrand is Hermitian
+    assert imag and max(imag) < 1e-13
+
+
+def test_invert_to_grid_records_lambda_rule():
+    grid = invert_to_grid(heat_slice(H1, 0.6), _grid_axes())
+    lam, w, cutoff = _HatProfile(heat_slice(H1, 0.6)).lambda_rule(3.0)
+    assert grid.meta["lam_nodes"] == len(lam) and grid.meta["lam_cutoff"] == cutoff
+    # the half rule: nodes inside (0, cutoff), weights summing to its length
+    assert 0.0 < lam.min() and lam.max() < cutoff
+    assert math.isclose(w.sum(), cutoff, rel_tol=1e-13)
 
 
 def test_inversion_rejects_m2_h_type_group():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -327,3 +329,26 @@ def test_stationary_quadrature_raises_rather_than_truncates():
 def test_malformed_spec_is_a_value_error(spec):
     with pytest.raises(ValueError):
         LevyExponent.from_dict(spec)
+
+
+# every jump kind, drifted and asymmetric ones included: the exponents whose
+# vertical inversions run on the half line lam > 0
+HERMITIAN_CASES = {
+    "none": LevyExponent(m=1),
+    "gaussian": LevyExponent(sigma=[[1.0]]),
+    "gaussian-drift": LevyExponent(sigma=[[1.0]], b=[0.5]),
+    "cp-normal-mean": LevyExponent(jumps=CompoundPoisson(3.0, NormalDist([0.7], [[1.0]])), m=1),
+    "atoms-asymmetric": LevyExponent(jumps=AtomJumps([[1.5], [-0.4]], [0.8, 2.0]), m=1),
+    "stable": LevyExponent(jumps=StableJumps(1.5, 1.0), m=1),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lam=st.floats(0.0, 60.0), t=st.floats(0.01, 3.0))
+def test_exponents_are_hermitian(lam, t):
+    # psi(-lam) = conj psi(lam) for psi, psi_t and psi_limit: the exponent of
+    # a real Levy process, so every envelope inverted is Hermitian
+    for name, psi in HERMITIAN_CASES.items():
+        for fn in (psi.psi, lambda x: psi.psi_t(t, x), psi.psi_limit):
+            got, ref = complex(fn(-lam)), complex(fn(lam)).conjugate()
+            assert abs(got - ref) <= 1e-15 * abs(ref), (name, lam, t, got, ref)
