@@ -34,12 +34,12 @@ def oscillatory_rule(limit, vmax, nodes_per_panel=12, max_panel=1.0):
 
     envelope against ``exp(-i lam v)`` with ``|v| <= vmax``.
 
-    Panel width is capped so each panel sees at most about half an
-    oscillation period of the fastest mode; panels are graded toward the
+    Panel width is capped so each panel sees at most one full oscillation
+    period ``2 pi / vmax`` of the fastest mode; panels are graded toward the
     origin so that envelopes with a mild cusp there (fractional powers of
     |lam|) are still integrated accurately.
     """
-    width = min(max_panel, np.pi / (2.0 * max(vmax, 1e-9)))
+    width = min(max_panel, 2.0 * np.pi / max(vmax, 1e-9))
     edges = np.linspace(0.0, limit, max(2, int(np.ceil(limit / width))) + 1)
     graded = [edges[1] / 64.0, edges[1] / 16.0, edges[1] / 4.0]
     return composite_gl_edges(np.concatenate([[0.0], graded, edges[1:]]), nodes_per_panel)

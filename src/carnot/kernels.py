@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quadrature import oscillatory_rule, trapezoid_nd
-from .errors import UnsupportedOperationError
+from .errors import AccuracyError, UnsupportedOperationError
 from .groups import CarnotGroup
 from .spectral import frame_at
 
@@ -314,6 +314,11 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
     Hat and inversion run once per radius class of the points, copied to the
     class: keys within 1e-12 move a hat by < 1e-12 * max coef relative, 2e-11
     at the co-eigen cutoff |lam| = 86 (coef <= 22); 1.4e-15 of the max measured.
+
+    The lambda rule checks itself by node doubling: the class nearest the origin
+    (the largest hat) is inverted at ``v[0]``, ``v[-1]`` and the node nearest 0
+    again on the same cutoff with every panel halved; the change relative to that
+    row's max |value| is ``meta["lam_err"]``; ``AccuracyError`` above 1e-10.
     """
     G = slice_.group
     profile = _HatProfile(slice_)
@@ -321,20 +326,30 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
         raise ValueError(f"need {G.n + 1} axes, got {len(axes)}")
     H = np.stack([c.ravel() for c in np.meshgrid(*axes[: G.n], indexing="ij")], axis=1)
     V = axes[G.n]
-    lam, w, cutoff = profile.lambda_rule(float(np.max(np.abs(V))))
-    lam_batch = lam[:, None]
-    env = slice_.multiplier(lam_batch)
-    if vertical_multiplier is not None:
-        env = env * vertical_multiplier(lam_batch)
+    vmax = float(np.max(np.abs(V)))
     zsq, rsq, inverse = profile.classes(H)
 
-    def hats(lo, hi):
-        return profile.values(zsq[lo:hi], rsq[lo:hi], lam_batch)
+    def invert(lam, w, zs, rs, v):
+        lam_batch = lam[:, None]
+        env = slice_.multiplier(lam_batch)
+        if vertical_multiplier is not None:
+            env = env * vertical_multiplier(lam_batch)
+        return fourier_invert(env, (len(zs), lambda lo, hi: profile.values(
+            zs[lo:hi], rs[lo:hi], lam_batch)), lam, w, v)
 
-    vals = fourier_invert(env, (len(zsq), hats), lam, w, V)
+    lam, w, cutoff = profile.lambda_rule(vmax)
+    vals = invert(lam, w, zsq, rsq, V)
+    probe, cols = np.argmin(np.sum(zsq, axis=1) + rsq), [0, len(V) - 1, np.argmin(np.abs(V))]
+    fine = invert(*oscillatory_rule(cutoff, 2.0 * vmax, max_panel=0.5), zsq[[probe]],
+                  rsq[[probe]], V[cols])[0]
+    lam_err = float(np.max(np.abs(vals[probe, cols] - fine)) / np.max(np.abs(vals[probe])))
+    if not lam_err <= 1e-10:
+        raise AccuracyError(f"lambda rule of {len(lam)} nodes on [0, {cutoff:.3g}]: halving "
+                            f"its panels moved the inversion by {lam_err:.2e} > 1e-10")
     values = vals[inverse].reshape(tuple(len(ax) for ax in axes))
     grid = DensityGrid(axes=list(axes), values=values, meta={
-        "kind": slice_.kind, "t": slice_.t, "lam_nodes": len(lam), "lam_cutoff": cutoff})
+        "kind": slice_.kind, "t": slice_.t, "lam_nodes": len(lam), "lam_cutoff": cutoff,
+        "lam_err": lam_err})
     if calibrate:
         mass = grid.mass()
         grid.meta["c_norm"] = 1.0 / mass
@@ -402,11 +417,13 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
     ``omega(y, x) = a (y_1 x_2 - y_2 x_1)`` the horizontal sum at each
     frequency is a twisted convolution: per x_2 row, an FFT convolution over
     y_1 of f times ``exp(-i mu a y_1 x_2/2)``, then the phase
-    ``exp(i mu a y_2 x_1/2)`` and a sum over y_2; one irfft per x at the end.
+    ``exp(i mu a y_2 x_1/2)`` and a sum over y_2; one inverse DFT per x at the end.
     ``Lp = 2 n_v - 1 + 2 ceil(c_max / dv)``, where ``c_max`` is the largest
     |c| over the pairs that occur (x, y and x - y on the grid), so the
     shifted blocks do not wrap; ``Lp`` is odd, so the rfft side has no
-    Nyquist term to break the real shift.  It is recorded in ``meta``.
+    Nyquist term to break the real shift.  It is recorded in ``meta``.  The v
+    transforms are DFT matmuls (``Lp`` is often prime, where FFTs fall back to
+    Bluestein); the inverse is :func:`fourier_invert` at ``-2 pi kappa / (Lp dv)``.
     """
     if G.n != 2 or G.m != 1:
         raise UnsupportedOperationError("grid convolution implemented for n=2, m=1")
@@ -431,10 +448,10 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
     theta = math.pi * a * kappa / (dv * Lp)          # c = (a/2) cross -> phase theta cross
     # kappa first, the y_1 (z_1) axis last and contiguous; g reversed in z_2,
     # so that the z_2 = x_2 - y_2 rows of one x_2 row are a slice
-    F = np.fft.rfft(grid_f.values * wv, Lp, axis=2) * np.outer(w1, w2)[..., None]
+    dft = np.exp(-2j * math.pi * (np.outer(np.arange(nv), kappa) % Lp) / Lp)
+    F = (grid_f.values * wv) @ dft * np.outer(w1, w2)[..., None]
     F = np.ascontiguousarray(F.transpose(2, 1, 0))
-    G_fft = np.fft.fft(np.fft.rfft(grid_g.values[:, ::-1], Lp, axis=2).transpose(2, 1, 0),
-                       2 * n1 - 1)
+    G_fft = np.fft.fft((grid_g.values[:, ::-1] @ dft).transpose(2, 1, 0), 2 * n1 - 1)
     phase_y2x1 = np.exp(1j * theta[:, None, None] * np.multiply.outer(x2, x1))
     spec = np.empty((n1, n2, len(kappa)), dtype=complex)
     for i2 in range(n2):
@@ -444,10 +461,12 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
         conv = np.fft.fft(f_row, 2 * n1 - 1) * G_fft[:, rev + lo:rev + hi]
         conv = np.fft.ifft(conv)[..., mid1:mid1 + n1]
         spec[:, i2] = np.einsum("kji,kji->ik", conv, phase_y2x1[:, lo:hi])
-    # block cell k holds v = 2 x_v[0] + k dv: output node j is cell j - x_v[0]/dv
-    spec *= np.exp(2j * math.pi * kappa * (-xv[0] / dv) / Lp)
-    values = np.fft.irfft(spec, Lp)[..., :nv]
-    return DensityGrid(axes=list(ax), values=values, meta={"kind": "convolution", "Lp": Lp})
+    # block cell k holds v = 2 x_v[0] + k dv: output node j is read at x_v[j] - 2 x_v[0]
+    rows, w_k = spec.reshape(n1 * n2, -1), np.where(kappa == 0, math.pi, 2.0 * math.pi) / Lp
+    values = fourier_invert(np.ones(len(kappa)), (n1 * n2, lambda lo, hi: rows[lo:hi]),
+                            -2.0 * math.pi * kappa / (Lp * dv), w_k, xv - 2.0 * xv[0])
+    return DensityGrid(axes=list(ax), values=values.reshape(n1, n2, nv),
+                       meta={"kind": "convolution", "Lp": Lp})
 
 
 def _uniform_axis(axis, origin):

@@ -310,6 +310,7 @@ class IntertwinerReport:
     t: float
     residual: float
     tol: float
+    grid_meta: dict = None      # DensityGrid.meta of the grid behind a grid residual
 
     @property
     def passed(self):
@@ -620,7 +621,7 @@ def coeigen_residual(G, psi, beta, t, test="v", axes=None, tol=1e-3):
     rhs = integ(f_vals)
     ratio = lhs / rhs
     res = abs(ratio - math.exp(-2 * sum(beta) * t)) / math.exp(-2 * sum(beta) * t)
-    return IntertwinerReport("coeigen", f"{test},beta={beta}", t, res, tol)
+    return IntertwinerReport("coeigen", f"{test},beta={beta}", t, res, tol, grid_meta=dgrid.meta)
 
 
 # ---------------------------------------------------------------------------

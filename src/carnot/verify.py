@@ -138,26 +138,48 @@ def _named_exponents(spec, default_names, m):
     return {name: base[name] for name in spec}
 
 
+def _vertical_window(psi, t):
+    """The v axis of the marginal check: 241 nodes on ``[-9, 9]``, widened at
+
+    the same spacing to cover ``t * effective_drift +- (9 + 6 sd)``, where
+    ``sd`` is the standard deviation of the vertical Levy law at time t (from
+    ``sigma`` and the jumps' second moment).  Exponents without exponential
+    jump moments keep ``[-9, 9]``.
+    """
+    if psi is None or not psi.in_N_exp:
+        return np.linspace(-9.0, 9.0, 241)
+    step = 18.0 / 240
+    centre = t * float(psi.effective_drift()[0])
+    sd = math.sqrt(t * (2.0 * psi.sigma[0, 0] + psi.levy_moment(2 * np.eye(psi.m, dtype=int)[0])))
+    left = math.ceil(max(0.0, 6.0 * sd - centre) / step)
+    right = math.ceil(max(0.0, 6.0 * sd + centre) / step)
+    return np.linspace(-9.0 - left * step, 9.0 + right * step, 241 + left + right)
+
+
 def check_marginal(G=None, t=0.5, tol=1e-5, exponents=None):
     """Vertical integral of the kernel equals the Euclidean heat kernel.
 
-    Exponents without exponential jump moments produce kernels with
-    polynomial vertical tails; the grid truncation then dominates, so those
-    run at a relaxed, documented tolerance.
+    The vertical window is centred on the law's mean and widened by its
+    spread (:func:`_vertical_window`).  Exponents without exponential jump
+    moments produce kernels with polynomial vertical tails; the grid
+    truncation then dominates, so those run at a relaxed, documented
+    tolerance.
     """
     G = G or heisenberg(1)
     exps = _named_exponents(exponents, ("none", "gaussian"), G.m)
     pair = (np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 4))
     h_axes = [pair[i % 2] for i in range(G.n)]
-    v = np.linspace(-9.0, 9.0, 241)
     hsq = sum(c**2 for c in np.meshgrid(*h_axes, indexing="ij"))
     euclid = (4 * math.pi * t) ** (-G.n / 2) * np.exp(-hsq / (4 * t))
     ok = True
     detail = {"tol": tol}
     worst = 0.0
+    metas = []
     for name, psi in exps.items():
         sl = heat_slice(G, t) if psi is None else perturbed_slice(G, psi, t)
+        v = _vertical_window(psi, t)
         grid = invert_to_grid(sl, h_axes + [v], calibrate=False)
+        metas.append(grid.meta)
         marg = np.trapezoid(grid.values, v, axis=-1)
         err = float(np.max(np.abs(marg - euclid)))
         heavy = psi is not None and not psi.in_N_exp
@@ -168,7 +190,17 @@ def check_marginal(G=None, t=0.5, tol=1e-5, exponents=None):
         ok &= err < bound
         worst = max(worst, err)
     detail["max_abs_err"] = worst
+    detail.update(_lambda_rule_detail(metas))
     return CheckResult("marginal", ok, detail)
+
+
+def _lambda_rule_detail(metas):
+    """The largest lambda-rule size and self-check error over the metadata
+
+    of inverted grids.
+    """
+    return {"lam_nodes": max((m["lam_nodes"] for m in metas), default=0),
+            "lam_err": max((m["lam_err"] for m in metas), default=0.0)}
 
 
 def check_kernel_semigroup(G=None, tol=1e-3, nodes=41):
@@ -182,7 +214,8 @@ def check_kernel_semigroup(G=None, tol=1e-3, nodes=41):
     q_one = invert_to_grid(heat_slice(G, 1.0), ax, calibrate=False)
     conv = group_convolve(G, q_half, q_half)
     err = float(np.max(np.abs(conv.values - q_one.values)))
-    return CheckResult("kernel-semigroup", err < tol, {"sup_err": err, "tol": tol})
+    return CheckResult("kernel-semigroup", err < tol, {
+        "sup_err": err, "tol": tol, **_lambda_rule_detail([q_half.meta, q_one.meta])})
 
 
 def check_mc_vs_kernel(G=None, t=1.0, paths=100_000, seed=7,
@@ -261,11 +294,14 @@ def check_coeigenfunction(G=None, exponents=("none", "gaussian"), tol=1e-3):
     exps = default_exponents(G.m)
     ok = True
     detail = {}
+    metas = []
     for name in exponents:
         for t in (0.25, 0.5):
             rep = coeigen_residual(G, exps[name], [1], t, test="bump", tol=tol)
             ok &= rep.passed
             detail[f"{name},t={t}"] = rep.residual
+            metas.append(rep.grid_meta)
+    detail.update(_lambda_rule_detail(metas))
     return CheckResult("coeigenfunction", ok, detail)
 
 

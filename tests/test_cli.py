@@ -379,6 +379,31 @@ def test_manifest_record_keys(runner, tmp_path, monkeypatch):
     assert set(crashed["results"][0]) == {"check", "passed", "elapsed_s", "error"}
 
 
+def test_manifest_carries_lambda_rule(runner, tmp_path):
+    # each grid check records the largest lambda rule and its self-check error
+    manifest = tmp_path / "m.jsonl"
+    res = runner.invoke(main, ["verify", "marginal", "semigroup", "coeigen", "--manifest",
+                               str(manifest)])
+    assert res.exit_code == 0, res.output
+    for result in json.loads(manifest.read_text())["results"]:
+        assert result["passed"] and result["lam_nodes"] > 0
+        assert 0.0 <= result["lam_err"] <= 1e-10
+
+
+def test_marginal_window_follows_drifted_law():
+    # drift 0.5 and jumps of mean 0.7 at rate 2: on [-9, 9] the law's mass
+    # past the edge read 1.03e-5 against the 1e-5 tolerance
+    from carnot.levy import CompoundPoisson, LevyExponent, NormalDist
+    from carnot.verify import _vertical_window, check_marginal
+
+    psi = LevyExponent(b=[0.5], jumps=CompoundPoisson(2.0, NormalDist([0.7], [[1.0]])), m=1)
+    v = _vertical_window(psi, 0.5)
+    assert v[0] < -9.0 and v[-1] > 9.0 and v[-1] + v[0] > 0
+    assert np.allclose(np.diff(v), 18.0 / 240, rtol=1e-12, atol=0.0)
+    res = check_marginal(_builtin_group("h1"), exponents={"skew": psi})
+    assert res.passed and res.detail["skew_err"] < 1e-5
+
+
 def _answers(res):
     # an answer (0), a failed check (1) or a usage error (2); never a traceback
     return res.exit_code in (0, 1, 2) and (res.exception is None

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from carnot.errors import DegenerateFrameError, UnsupportedOperationError
-from carnot._quadrature import composite_gl
+from carnot.errors import AccuracyError, DegenerateFrameError, UnsupportedOperationError
+from carnot._quadrature import composite_gl, composite_gl_edges
 from carnot.groups import CarnotGroup, free_step2, h_type, heisenberg
 from carnot import kernels, semigroups
 from carnot.kernels import (
@@ -252,9 +252,8 @@ def _use_two_sided(monkeypatch):
         imag.append(np.max(np.abs(out.imag)) / np.max(np.abs(out.real)))
         return out.real
 
-    rule = _HatProfile.lambda_rule
-    monkeypatch.setattr(_HatProfile, "lambda_rule",
-                        lambda self, vmax, tol=1e-12: (*_mirror(*rule(self, vmax, tol)[:2]), None))
+    rule = kernels.oscillatory_rule
+    monkeypatch.setattr(kernels, "oscillatory_rule", lambda *a, **kw: _mirror(*rule(*a, **kw)))
     monkeypatch.setattr(semigroups, "LAM_RULE", _mirror(*semigroups.LAM_RULE))
     monkeypatch.setattr(kernels, "fourier_invert", complex_invert)
     monkeypatch.setattr(semigroups, "fourier_invert", complex_invert)
@@ -319,6 +318,54 @@ def test_invert_to_grid_records_lambda_rule():
     # the half rule: nodes inside (0, cutoff), weights summing to its length
     assert 0.0 < lam.min() and lam.max() < cutoff
     assert math.isclose(w.sum(), cutoff, rel_tol=1e-13)
+
+
+def _quarter_period_rule(limit, vmax):
+    # the former oscillatory rule: panels a quarter period pi/(2 vmax) wide
+    width = min(1.0, math.pi / (2.0 * vmax))
+    edges = np.linspace(0.0, limit, max(2, math.ceil(limit / width)) + 1)
+    graded = [edges[1] / 64.0, edges[1] / 16.0, edges[1] / 4.0]
+    return composite_gl_edges(np.concatenate([[0.0], graded, edges[1:]]), 12)
+
+
+def _grid_cases():
+    cp_psi = LevyExponent(jumps=CompoundPoisson(3.0, NormalDist([0.0], [[1.0]])), m=1)
+    h2_axes = [np.linspace(-2.0, 2.0, 5)] * 4 + [np.linspace(-4.0, 3.0, 15)]
+    return {
+        "heat": lambda: invert_to_grid(heat_slice(H1, 0.6), _grid_axes()),
+        "cp": lambda: invert_to_grid(perturbed_slice(H1, cp_psi, 0.5), _grid_axes()),
+        "skew": lambda: invert_to_grid(perturbed_slice(H1, PSI_SKEW, 0.6), _grid_axes()),
+        "invariant": lambda: invert_to_grid(invariant_slice(H1, PSI_SKEW), _grid_axes()),
+        "coeigen": lambda: invert_to_grid(invariant_slice(H1, PSI_SKEW), _grid_axes(),
+                                          calibrate=False,
+                                          vertical_multiplier=lambda lb: -1j * lb[:, 0]),
+        "h2": lambda: invert_to_grid(heat_slice(heisenberg(2), 0.5), h2_axes),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_grid_cases()))
+def test_full_period_rule_matches_quarter_period_rule(case, monkeypatch):
+    # panels one period 2 pi / vmax wide against the former quarter-period
+    # panels on the same cutoff; the node-doubling estimate reads roundoff
+    grid = _grid_cases()[case]()
+    assert grid.meta["lam_err"] <= 1e-12
+    rule = _HatProfile.lambda_rule
+
+    def quarter(self, vmax, tol=1e-12):
+        cutoff = rule(self, vmax, tol)[2]
+        return (*_quarter_period_rule(cutoff, vmax), cutoff)
+
+    monkeypatch.setattr(_HatProfile, "lambda_rule", quarter)
+    ref = _grid_cases()[case]()
+    assert ref.meta["lam_nodes"] > grid.meta["lam_nodes"]
+    assert np.max(np.abs(grid.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+
+
+def test_lambda_rule_self_check_raises():
+    # cos(40 lam) oscillates ~13 times faster than the v <= 3 rule resolves
+    with pytest.raises(AccuracyError, match="halving"):
+        invert_to_grid(heat_slice(H1, 0.5), _grid_axes()[:2] + [np.linspace(-3.0, 3.0, 31)],
+                       vertical_multiplier=lambda lb: np.cos(40.0 * lb[:, 0]))
 
 
 def test_inversion_rejects_m2_h_type_group():
@@ -473,6 +520,45 @@ def test_group_convolve_matches_direct_pair_sum(h_axes, v):
     assert conv.meta["Lp"] == Lp
     assert np.max(np.abs(conv.values - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(conv.values - group_convolve(H1, g, f).values)) > 1e-6 * np.max(np.abs(ref))
+
+
+def _fft_group_convolve(G, grid_f, grid_g, Lp):
+    # group_convolve with its v transforms as numpy rfft/irfft of length Lp
+    x1, x2, xv = grid_f.axes
+    (n1, n2, nv), dv = grid_f.values.shape, xv[1] - xv[0]
+    mid1, mid2 = (int(round(-a[0] / (a[1] - a[0]))) for a in (x1, x2))
+    w1, w2, wv = (_simpson_weights(a) for a in grid_f.axes)
+    a = float(G.omega(np.eye(2)[0], np.eye(2)[1])[0])
+    kappa = np.arange(Lp // 2 + 1)
+    theta = math.pi * a * kappa / (dv * Lp)
+    F = np.fft.rfft(grid_f.values * wv, Lp, axis=2) * np.outer(w1, w2)[..., None]
+    F = np.ascontiguousarray(F.transpose(2, 1, 0))
+    G_fft = np.fft.fft(np.fft.rfft(grid_g.values[:, ::-1], Lp, axis=2).transpose(2, 1, 0),
+                       2 * n1 - 1)
+    phase_y2x1 = np.exp(1j * theta[:, None, None] * np.multiply.outer(x2, x1))
+    spec = np.empty((n1, n2, len(kappa)), dtype=complex)
+    for i2 in range(n2):
+        lo, hi = max(0, i2 + mid2 - n2 + 1), min(n2, i2 + mid2 + 1)
+        f_row = F[:, lo:hi] * np.exp(-1j * theta[:, None] * (x1 * x2[i2]))[:, None, :]
+        rev = n2 - 1 - i2 - mid2
+        conv = np.fft.fft(f_row, 2 * n1 - 1) * G_fft[:, rev + lo:rev + hi]
+        conv = np.fft.ifft(conv)[..., mid1:mid1 + n1]
+        spec[:, i2] = np.einsum("kji,kji->ik", conv, phase_y2x1[:, lo:hi])
+    spec *= np.exp(2j * math.pi * kappa * (-xv[0] / dv) / Lp)
+    return np.fft.irfft(spec, Lp)[..., :nv]
+
+
+@pytest.mark.parametrize("ax", [
+    [np.linspace(-4.5, 4.5, 41)] * 2 + [np.linspace(-3.5, 3.5, 41)],   # criterion 4: Lp = 197
+    [np.linspace(-3, 4.5, 16), np.linspace(-4, 3, 15), np.linspace(-1.95, 1.95, 20)],
+])
+def test_group_convolve_dft_matches_fft(ax):
+    # the DFT matmuls and the half-line inverse against rfft/irfft at the same Lp
+    f = invert_to_grid(heat_slice(H1, 0.5), ax, calibrate=False)
+    g = invert_to_grid(perturbed_slice(H1, PSI_GAUSS, 0.5), ax, calibrate=False)
+    conv = group_convolve(H1, f, g)
+    ref = _fft_group_convolve(H1, f, g, conv.meta["Lp"])
+    assert np.max(np.abs(conv.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("which, axis, message", [
