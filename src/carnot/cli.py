@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateFrameError, UnsupportedOperationError
+from .errors import AccuracyError, DegenerateFrameError, UnsupportedOperationError
 from .groups import CarnotGroup
 from .kernels import (
     heat_hat,
@@ -138,14 +138,16 @@ class _Boundary(click.Group):
 
     errors (exit 2): malformed or mismatched specs, files and vectors
     (ValueError, with GroupValidationError and JSONDecodeError), files that
-    cannot be read or written, and operations the group or the exponent does
-    not support.  Any other exception is a defect and keeps its traceback.
+    cannot be read or written, unsupported operations and input the numerics
+    cannot resolve (AccuracyError).  Any other exception is a defect and
+    keeps its traceback.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError, UnsupportedOperationError, DegenerateFrameError) as exc:
+        except (ValueError, OSError, UnsupportedOperationError, DegenerateFrameError,
+                AccuracyError) as exc:
             raise click.UsageError(str(exc)) from exc
 
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_laguerre
 
-from ._quadrature import gauss_legendre
-from .errors import AccuracyError, UnsupportedOperationError
+from ._quadrature import gauss_legendre, refinement_error
+from .errors import UnsupportedOperationError
 from .spectral import SpectralFrame, harmonic_eigenvalue
 
 __all__ = [
     "hermite_phi",
-    "HermiteBasis",
     "laguerre_phi",
     "laguerre_transform",
     "WeylMatrix",
@@ -66,28 +65,6 @@ def hermite_phi_all(nmax, x):
     for k in range(1, nmax):
         out[k + 1] = x * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
     return out
-
-
-@dataclass
-class HermiteBasis:
-    """Tensor Hermite basis bookkeeping for one frequency."""
-
-    frame: SpectralFrame
-    size: int  # per-coordinate cap
-
-    def orthonormality_residual(self):
-        """Max deviation from orthonormality under Gauss-Hermite quadrature
-
-        with 2*size + 1 nodes per coordinate.  The quadrature is exact for
-        the Hermite-polynomial part, so the residual isolates evaluation
-        error of the recurrence.
-        """
-        nodes, weights = np.polynomial.hermite.hermgauss(2 * self.size + 1)
-        vals = hermite_phi_all(self.size, nodes)
-        # Phi_a Phi_b exp(nodes^2) is a polynomial: Gauss-Hermite is exact
-        comp = weights * np.exp(nodes**2)
-        mat = np.einsum("i,ai,bi->ab", comp, vals, vals)
-        return float(np.max(np.abs(mat - np.eye(self.size + 1))))
 
 
 def laguerre_phi(frame: SpectralFrame, beta, z):
@@ -159,11 +136,6 @@ class WeylMatrix:
     def hs_norm_sq(self):
         return float(np.sum(np.abs(self.entries) ** 2))
 
-    def offdiag_mass(self):
-        diag = np.abs(np.diag(self.entries)).sum()
-        off = np.abs(self.entries).sum() - diag
-        return off, diag
-
 
 def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=1e-6):
     """Weyl transform matrix of ``f`` on the oscillator plane (d = 1).
@@ -174,7 +146,7 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=
 
     and matrix elements are evaluated against the scaled Hermite basis by
     tensor Gauss-Legendre quadrature.  Doubling the node count must move no
-    element by more than ``tol`` or an :class:`AccuracyError` is raised.
+    element by more than ``tol`` (``refinement_error``).
     """
     if frame.d != 1:
         raise UnsupportedOperationError("Weyl matrices implemented for d = 1")
@@ -198,14 +170,9 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=
         # entries[gamma, alpha] = <W(f) Phi_alpha, Phi_gamma>
         return BW @ K @ BW.T
 
-    first = assemble(quad_points)
     second = assemble(2 * quad_points)
-    drift = float(np.max(np.abs(second - first)))
-    if drift > tol:
-        raise AccuracyError(
-            f"Weyl quadrature did not converge (node doubling moved an "
-            f"element by {drift:.2e} > {tol:.0e})"
-        )
+    refinement_error(assemble(quad_points), second, 1.0, tol,
+                     f"Weyl quadrature of {quad_points}^2 nodes")
     return WeylMatrix(frame=frame, size=size, entries=second)
 
 

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadrature import oscillatory_rule, trapezoid_nd
-from .errors import AccuracyError, UnsupportedOperationError
+from ._quadrature import half_line_rule, oscillatory_rule, refinement_error, trapezoid_nd
+from .errors import UnsupportedOperationError
 from .groups import CarnotGroup
 from .spectral import frame_at
 
@@ -50,6 +50,7 @@ __all__ = [
     "mehler_hat",
     "mehler_area",
     "fourier_invert",
+    "invert_checked",
     "heat_hat",
     "perturbed_hat",
     "invariant_hat",
@@ -112,6 +113,29 @@ def fourier_invert(envelope, rows, lam, w, v):
         hi = min(n, lo + chunk)
         out[lo:hi] = (block(lo, hi) * env).view(float) @ trig
     return out if rows is not None else out[0]
+
+
+def invert_checked(integrand, bound, v, probe=0):
+    """:func:`fourier_invert` of ``integrand(lam) = (envelope, rows)`` on the
+
+    half-line rule for the magnitude ``bound``, and its self-check: row
+    ``probe`` again at ``v[0]``, ``v[-1]`` and the node nearest 0 with every
+    panel halved, relative to that row's max, <= 1e-10.  Returns the values
+    and ``{"lam_nodes", "lam_cutoff", "lam_err"}``.
+    """
+    v = np.asarray(v, dtype=float)
+    vmax = float(np.max(np.abs(v)))
+    lam, w, cutoff = half_line_rule(bound, vmax)
+    values = fourier_invert(*integrand(lam), lam, w, v)
+    row, cols = np.atleast_2d(values)[probe], [0, len(v) - 1, int(np.argmin(np.abs(v)))]
+    fine_lam, fine_w = oscillatory_rule(cutoff, vmax, halved=True)
+    env, rows = integrand(fine_lam)
+    if rows is not None:
+        rows = (1, lambda lo, hi, block=rows[1]: block(probe, probe + 1))
+    fine = fourier_invert(env, rows, fine_lam, fine_w, v[cols]).reshape(-1)
+    err = refinement_error(row[cols], fine, np.max(np.abs(row)), 1e-10,
+                           f"lambda rule of {len(lam)} nodes on [0, {cutoff:.3g}]")
+    return values, {"lam_nodes": len(lam), "lam_cutoff": cutoff, "lam_err": err}
 
 
 def heat_hat(G: CarnotGroup, t, z, lam, nu=()):
@@ -191,7 +215,6 @@ class KernelSlice:
     kind: str                      # "heat" | "perturbed" | "invariant"
     t: float                       # effective Gaussian time (1/2 for invariant)
     psi: object = None
-    c_norm: float = 1.0
 
     def multiplier(self, lam_batch):
         """Vertical multiplier on a batch of frequencies (shape (N, m))."""
@@ -287,20 +310,12 @@ class _HatProfile:
             )[:, None]
         return out
 
-    def lambda_rule(self, vmax, tol=1e-12):
-        """Half-line oscillatory rule for ``|v| <= vmax`` and its frequency
+    def bound(self, lam):
+        """The zero-point heat amplitude, a bound on every (perturbed) hat
 
-        cutoff, where the zero-point envelope drops below ``tol``.
+        up to the radical factor: ``exp(-zsq coef)`` and ``|exp(t psi)|`` are <= 1.
         """
-        G, t = self.G, self.slice.t
-        eta_sum = float(np.sum(self.eta_unit))
-        # prefactor decays like exp(-eta_sum * t * |lam|); add slack for psi
-        lam = 1.0
-        for _ in range(60):
-            if eta_sum * t * lam - G.d * math.log(max(lam, 1.0)) > -math.log(tol):
-                break
-            lam *= 1.5
-        return (*oscillatory_rule(lam, vmax, nodes_per_panel=12), lam)
+        return np.exp(mehler_hat(self.eta(lam), self.slice.t)[0])
 
 
 def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplier=None):
@@ -312,60 +327,37 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
     to unit trapezoidal mass and the constant stored in ``meta``.
 
     Hat and inversion run once per radius class of the points, copied to the
-    class: keys within 1e-12 move a hat by < 1e-12 * max coef relative, 2e-11
-    at the co-eigen cutoff |lam| = 86 (coef <= 22); 1.4e-15 of the max measured.
+    class: keys within 1e-12 move a hat by < 1e-12 * max coef relative, 1.6e-11
+    at the co-eigen cutoff |lam| = 64 (coef <= 16); 1.4e-15 of the max measured.
 
-    The lambda rule checks itself by node doubling: the class nearest the origin
-    (the largest hat) is inverted at ``v[0]``, ``v[-1]`` and the node nearest 0
-    again on the same cutoff with every panel halved; the change relative to that
-    row's max |value| is ``meta["lam_err"]``; ``AccuracyError`` above 1e-10.
+    The lambda rule and its self-check are :func:`invert_checked`'s, with the
+    class nearest the origin (the largest hat) as the probe row; ``meta``
+    records ``lam_nodes``, ``lam_cutoff`` and ``lam_err``.
     """
     G = slice_.group
     profile = _HatProfile(slice_)
     if len(axes) != G.n + 1:
         raise ValueError(f"need {G.n + 1} axes, got {len(axes)}")
     H = np.stack([c.ravel() for c in np.meshgrid(*axes[: G.n], indexing="ij")], axis=1)
-    V = axes[G.n]
-    vmax = float(np.max(np.abs(V)))
     zsq, rsq, inverse = profile.classes(H)
 
-    def invert(lam, w, zs, rs, v):
+    def integrand(lam):
         lam_batch = lam[:, None]
         env = slice_.multiplier(lam_batch)
         if vertical_multiplier is not None:
             env = env * vertical_multiplier(lam_batch)
-        return fourier_invert(env, (len(zs), lambda lo, hi: profile.values(
-            zs[lo:hi], rs[lo:hi], lam_batch)), lam, w, v)
+        return env, (len(zsq), lambda lo, hi: profile.values(zsq[lo:hi], rsq[lo:hi], lam_batch))
 
-    lam, w, cutoff = profile.lambda_rule(vmax)
-    vals = invert(lam, w, zsq, rsq, V)
-    probe, cols = np.argmin(np.sum(zsq, axis=1) + rsq), [0, len(V) - 1, np.argmin(np.abs(V))]
-    fine = invert(*oscillatory_rule(cutoff, 2.0 * vmax, max_panel=0.5), zsq[[probe]],
-                  rsq[[probe]], V[cols])[0]
-    lam_err = float(np.max(np.abs(vals[probe, cols] - fine)) / np.max(np.abs(vals[probe])))
-    if not lam_err <= 1e-10:
-        raise AccuracyError(f"lambda rule of {len(lam)} nodes on [0, {cutoff:.3g}]: halving "
-                            f"its panels moved the inversion by {lam_err:.2e} > 1e-10")
+    vals, rule = invert_checked(integrand, profile.bound, axes[G.n],
+                                np.argmin(np.sum(zsq, axis=1) + rsq))
     values = vals[inverse].reshape(tuple(len(ax) for ax in axes))
-    grid = DensityGrid(axes=list(axes), values=values, meta={
-        "kind": slice_.kind, "t": slice_.t, "lam_nodes": len(lam), "lam_cutoff": cutoff,
-        "lam_err": lam_err})
+    grid = DensityGrid(axes=list(axes), values=values,
+                       meta={"kind": slice_.kind, "t": slice_.t, **rule})
     if calibrate:
         mass = grid.mass()
         grid.meta["c_norm"] = 1.0 / mass
-        slice_.c_norm = 1.0 / mass
         grid.values = grid.values / mass
     return grid
-
-
-def invert_at(slice_: KernelSlice, h, v, tol=1e-12):
-    """Point value of the inverted kernel (m = 1 only)."""
-    profile = _HatProfile(slice_)
-    v = np.atleast_1d(np.asarray(v, dtype=float))[:1]
-    lam, w, _ = profile.lambda_rule(abs(float(v[0])) + 1.0, tol)
-    zsq, rsq = profile.planes(np.asarray(h, dtype=float)[None, :])
-    W = profile.values(zsq, rsq, lam[:, None])[0] * slice_.multiplier(lam[:, None])
-    return float(fourier_invert(W, None, lam, w, v)[0]) * slice_.c_norm
 
 
 def co_eigenfunction(G: CarnotGroup, psi, beta, axes, floor=1e-300):

@@ -18,11 +18,18 @@ from math import erf, exp, pi, sqrt
 
 import numpy as np
 
-from ._quadrature import composite_gl_edges
-from .errors import AccuracyError, UnsupportedOperationError
+from ._quadrature import composite_gl_edges, refinement_error
+from .errors import UnsupportedOperationError
 
 __all__ = ["LevyExponent", "NoJumps", "CompoundPoisson", "StableJumps", "AtomJumps",
            "NormalDist", "AtomDist"]
+
+
+def _finite(value, name):
+    """``value`` as a float array; ValueError unless every entry is finite."""
+    if not np.all(np.isfinite(arr := np.asarray(value, dtype=float))):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +40,8 @@ class NormalDist:
     """Gaussian jump sizes N(mean, cov) on R^m."""
 
     def __init__(self, mean, cov):
-        self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        self.mean = np.atleast_1d(_finite(mean, "the jump mean"))
+        self.cov = np.atleast_2d(_finite(cov, "the jump covariance"))
         self.m = self.mean.size
         if self.cov.shape != (self.m, self.m):
             raise ValueError("covariance shape mismatch")
@@ -99,8 +106,8 @@ class AtomDist:
     """Discrete jump sizes: points with probabilities."""
 
     def __init__(self, points, probs):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.probs = np.asarray(probs, dtype=float)
+        self.points = np.atleast_2d(_finite(points, "atom points"))
+        self.probs = _finite(probs, "atom probabilities")
         if self.probs.ndim != 1 or len(self.probs) != len(self.points):
             raise ValueError("points/probs length mismatch")
         if abs(self.probs.sum() - 1.0) > 1e-12 or np.any(self.probs < 0):
@@ -171,8 +178,8 @@ class CompoundPoisson:
 
     def __init__(self, rate, dist):
         self.rate = float(rate)
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         self.dist = dist
 
     in_N_log = True
@@ -248,8 +255,8 @@ class StableJumps:
         self.scale = float(scale)
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
     symmetric = True
     in_N_log = True
@@ -307,8 +314,8 @@ class AtomJumps(CompoundPoisson):
     """
 
     def __init__(self, points, weights):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.weights = np.asarray(weights, dtype=float)
+        self.points = np.atleast_2d(_finite(points, "atom points"))
+        self.weights = _finite(weights, "atom weights")
         if np.any(self.weights <= 0):
             raise ValueError("atom weights must be positive")
         total = float(self.weights.sum())
@@ -364,7 +371,7 @@ def _dilation_quadrature(fn, lam):
 
     panels ``[2^-k-1, 2^-k]`` (k < 12) and ``[0, 2^-12]``, every node in one
     call of ``fn``.  Doubling the nodes must move no value by more than
-    ``_QUAD_TOL`` relative to ``max(1, |value|)``, or AccuracyError is raised.
+    ``_QUAD_TOL`` relative to ``max(1, |value|)`` (``refinement_error``).
     """
     edges = np.concatenate([[0.0], 2.0 ** np.arange(-12, 1)])
 
@@ -373,11 +380,9 @@ def _dilation_quadrature(fn, lam):
         vals = fn(u.reshape((-1,) + (1,) * lam.ndim) * lam)
         return np.tensordot(w / (2.0 * u), vals, axes=1)
 
-    coarse, fine = rule(16), rule(32)
-    drift = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
-    if drift > _QUAD_TOL:
-        raise AccuracyError(f"stationary jump exponent did not converge (node doubling "
-                            f"moved it by {drift:.2e} > {_QUAD_TOL:.0e})")
+    fine = rule(32)
+    refinement_error(rule(16), fine, np.maximum(1.0, np.abs(fine)), _QUAD_TOL,
+                     f"stationary jump exponent rule of {16 * (len(edges) - 1)} nodes")
     return fine
 
 
@@ -412,8 +417,8 @@ class LevyExponent:
         if isinstance(jumps, StableJumps) and self.m != 1:
             raise ValueError(f"stable jumps are a component on R^1, not on R^m with m = {self.m}")
         self.sigma = np.zeros((self.m, self.m)) if sigma is None else np.atleast_2d(
-            np.asarray(sigma, dtype=float))
-        self.b = np.zeros(self.m) if b is None else np.atleast_1d(np.asarray(b, dtype=float))
+            _finite(sigma, "sigma"))
+        self.b = np.zeros(self.m) if b is None else np.atleast_1d(_finite(b, "b"))
         self.jumps = jumps if jumps is not None else NoJumps()
         if self.sigma.shape != (self.m, self.m) or self.b.shape != (self.m,):
             raise ValueError("sigma/b dimensions inconsistent")

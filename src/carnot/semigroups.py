@@ -10,9 +10,9 @@ group semigroups and Euclidean Ornstein-Uhlenbeck semigroups:
 
 All polynomial paths are exact finite computations; integral operators are
 evaluated by quadrature against inverted kernels or one-dimensional Fourier
-representations.  The Fourier paths are m = 1 only; they share the
-kernel module's area profile and Hermitian half-line inversion, on the one
-fixed lambda rule ``LAM_RULE`` on lam > 0.
+representations.  The m = 1 Fourier paths share the kernels' area profile and
+self-checked inversion (:func:`~carnot.kernels.invert_checked`) with the bound
+``|f_hat|``, as ``exp(psi_t)`` and ``sech * exp(-hsq coef)`` are <= 1 in modulus.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._quadrature import composite_gl
 from .errors import UnsupportedOperationError
 from .groups import CarnotGroup
 from .kernels import (
     _HatProfile,
-    fourier_invert,
     heat_slice,
     invariant_slice,
+    invert_checked,
     invert_to_grid,
     mehler_area,
 )
@@ -60,12 +59,6 @@ __all__ = [
     "weighted_gram",
     "nonnormality_witness",
 ]
-
-
-# The fixed lambda rule of the one-dimensional vertical transport, on the
-# half line lam > 0 of the Hermitian inversion: every integrand it meets
-# carries a Gaussian test transform that is negligible beyond |lam| = 40.
-LAM_RULE = composite_gl(0.0, 40.0, 100, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +227,13 @@ def mehler_apply(f, t, points, dim):
     raise UnsupportedOperationError("Mehler quadrature implemented for dim <= 2")
 
 
+def _deformed(psi, t, lam):
+    """``exp(psi_t(lam))``, 1 for a trivial exponent."""
+    if psi is None or psi.is_trivial:
+        return 1.0
+    return np.exp(np.asarray(psi.psi_t(t, lam), dtype=complex))
+
+
 def euclidean_levy_ou_apply(psi, t, f_hat, v_points, reflected=False):
     """Vertical Levy-Ornstein-Uhlenbeck semigroup on the real line through
 
@@ -249,19 +249,16 @@ def euclidean_levy_ou_apply(psi, t, f_hat, v_points, reflected=False):
     """
     if psi is not None and psi.m != 1:
         raise UnsupportedOperationError("vertical transport implemented for m = 1")
-    lam, w = LAM_RULE
-    sign = 1.0 if reflected else -1.0
-    mult = 1.0
-    if psi is not None and not psi.is_trivial:
-        mult = np.exp(np.asarray(psi.psi_t(t, sign * math.exp(-2 * t) * lam), dtype=complex))
+    scale = (1.0 if reflected else -1.0) * math.exp(-2 * t)
     v = math.exp(-2 * t) * np.asarray(v_points, dtype=float)
-    return fourier_invert(f_hat(lam) * mult, None, lam, w, v)
+    return invert_checked(lambda lam: (f_hat(lam) * _deformed(psi, t, scale * lam), None),
+                          lambda lam: np.abs(f_hat(lam)), v)[0]
 
 
 def convolve_fourier(f_hat, mult, v_points):
-    """Evaluate ``f * kernel`` where the kernel has Fourier transform ``mult``."""
-    lam, w = LAM_RULE
-    return fourier_invert(f_hat(lam) * mult(lam), None, lam, w, np.asarray(v_points, dtype=float))
+    """Evaluate ``f * kernel`` for a kernel with Fourier transform ``|mult| <= 1``."""
+    return invert_checked(lambda lam: (f_hat(lam) * mult(lam), None),
+                          lambda lam: np.abs(f_hat(lam)), v_points)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +277,22 @@ def ou_apply_vertical(G, psi, t, f_hat, H, V):
     where Xi is the area characteristic function at horizon
     ``s = (1 - e^{-2t}) / 2`` (:func:`~carnot.kernels.mehler_area`).
     Matches the reflected-drive convention of the stationary density.
-    Rows are computed once per radius class of H, as in ``invert_to_grid``.
+    Rows are computed once per radius class of H, as in ``invert_to_grid``,
+    and the class nearest the origin is the self-check's probe row.
     """
-    lam, w = LAM_RULE
     s = (1.0 - math.exp(-2.0 * t)) / 2.0
     profile = _HatProfile(heat_slice(G, s))
     zsq, _, inverse = profile.classes(np.atleast_2d(H))
     hsq = zsq * math.exp(-2.0 * t)
-    sech, coef = mehler_area(profile.eta(lam), s)                # (L,), (L, d)
-    mult = 1.0
-    if psi is not None and not psi.is_trivial:
-        mult = np.exp(np.asarray(psi.psi_t(t, math.exp(-2 * t) * lam), dtype=complex))
 
-    def xi(lo, hi):
-        return sech[None, :] * np.exp(-np.einsum("nd,ld->nl", hsq[lo:hi], coef))
+    def integrand(lam):
+        sech, coef = mehler_area(profile.eta(lam), s)            # (L,), (L, d)
+        rows = lambda lo, hi: sech[None, :] * np.exp(-np.einsum("nd,ld->nl", hsq[lo:hi], coef))
+        return f_hat(lam) * _deformed(psi, t, math.exp(-2 * t) * lam), (len(hsq), rows)
 
     v = math.exp(-2 * t) * np.asarray(V, dtype=float)
-    return fourier_invert(f_hat(lam) * mult, (len(hsq), xi), lam, w, v)[inverse]
+    return invert_checked(integrand, lambda lam: np.abs(f_hat(lam)), v,
+                          np.argmin(np.sum(hsq, axis=1)))[0][inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._quadrature import gauss_legendre
 from .errors import UnsupportedOperationError
 from .groups import heisenberg
 from .kernels import (
@@ -195,10 +196,7 @@ def check_marginal(G=None, t=0.5, tol=1e-5, exponents=None):
 
 
 def _lambda_rule_detail(metas):
-    """The largest lambda-rule size and self-check error over the metadata
-
-    of inverted grids.
-    """
+    """The largest lambda-rule size and self-check error of inverted grids."""
     return {"lam_nodes": max((m["lam_nodes"] for m in metas), default=0),
             "lam_err": max((m["lam_err"] for m in metas), default=0.0)}
 
@@ -358,10 +356,7 @@ def check_plancherel(G=None, tol=1e-3):
                                quad_nodes=300, u_cap=90.0)
         return float(np.sum(R**2))
 
-    lam_nodes, lam_w = np.polynomial.legendre.leggauss(160)
-    lo, hi = 1e-4, 12.0
-    lam = 0.5 * (hi - lo) * (lam_nodes + 1) + lo
-    w = 0.5 * (hi - lo) * lam_w
+    lam, w = gauss_legendre(1e-4, 12.0, 160)
     S = np.array([s_numeric(l * eta_unit) if l >= 0.3 else s_closed(l * eta_unit)
                   for l in lam])
     # spectral side: (2 pi)^{-1} int |ghat|^2 S dlam, |ghat|^2 = 2 pi e^{-lam^2}

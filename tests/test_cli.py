@@ -466,13 +466,44 @@ def test_mismatched_input_is_a_usage_error(runner, tmp_path, monkeypatch, args):
     [1, 2],
     {"jumps": {"type": "stable", "alpha": [1.5]}},
     {"sigma": [[1.0]], "drift": [0.5]},
-], ids=["no-rate", "list", "alpha-list", "unknown-key"])
+    # json.dumps writes NaN/Infinity, which the spec reader accepts as floats
+    {"m": 1, "b": [float("nan")]},
+    {"sigma": [[float("inf")]]},
+    {"jumps": {"type": "compound_poisson", "rate": float("nan")}},
+    {"jumps": {"type": "compound_poisson", "rate": 1.0,
+               "dist": {"kind": "normal", "mean": [0.0], "cov": [[float("-inf")]]}}},
+    {"jumps": {"type": "stable", "alpha": 0.5, "scale": float("inf")}},
+    {"jumps": {"type": "atoms", "points": [[float("nan")]], "weights": [1.0]}},
+], ids=["no-rate", "list", "alpha-list", "unknown-key",
+        "b-nan", "sigma-inf", "rate-nan", "cov-inf", "scale-inf", "atom-nan"])
 def test_malformed_psi_spec_is_a_usage_error(runner, tmp_path, spec):
     path = tmp_path / "psi.json"
     path.write_text(json.dumps(spec))
     res = runner.invoke(main, ["psi", "eval", "--psi", str(path), "--lam", "1"])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+
+
+def test_unresolvable_input_is_a_usage_error(runner, tmp_path):
+    # b = 1e300 makes the stationary multiplier oscillate far beyond any rule:
+    # the lambda self-check's AccuracyError is one Error: line with exit 2
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"m": 1, "b": [1e300]}))
+    out = tmp_path / "q.csv"
+    res = runner.invoke(main, ["kernel", "invert", "--kind", "invariant", "--psi", str(path),
+                               "--grid", "h:-2:2:5,v:-2:2:9", "--out", str(out)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    lines = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(lines) == 1 and "nodes" in lines[0] and "did not converge" in lines[0]
+    assert not out.exists()
+
+
+def test_kernel_invert_with_a_small_stable_alpha(runner, tmp_path):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"m": 1, "jumps": {"type": "stable", "alpha": 0.3}}))
+    res = invoke(runner, ["kernel", "invert", "--kind", "perturbed", "--psi", str(path),
+                          "--grid", "h:-2:2:5,v:-2:2:9", "--out", str(tmp_path / "q.csv")])
+    assert res.exit_code == 0 and json.loads(res.output)["mass"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("spec, lam, message", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carnot.errors import AccuracyError, DegenerateFrameError, UnsupportedOperationError
-from carnot._quadrature import composite_gl, composite_gl_edges
+from carnot._quadrature import composite_gl_edges, half_line_rule, oscillatory_rule
 from carnot.groups import CarnotGroup, free_step2, h_type, heisenberg
 from carnot import kernels, semigroups
 from carnot.kernels import (
@@ -18,7 +18,6 @@ from carnot.kernels import (
     heat_slice,
     invariant_hat,
     invariant_slice,
-    invert_at,
     invert_to_grid,
     mehler_area,
     mehler_hat,
@@ -26,7 +25,7 @@ from carnot.kernels import (
     perturbed_slice,
     vertical_charfn,
 )
-from carnot.levy import AtomJumps, CompoundPoisson, LevyExponent, NormalDist
+from carnot.levy import AtomJumps, CompoundPoisson, LevyExponent, NormalDist, StableJumps
 
 H1 = heisenberg(1)
 PSI_GAUSS = LevyExponent(sigma=[[1.0]])
@@ -140,6 +139,12 @@ def test_charfn_consistency():
         assert abs(got - exact) / abs(exact) < 1e-5
 
 
+def _point_value(slice_, h, v):
+    # the kernel at one point (h, v): a one-point grid
+    axes = [np.array([c]) for c in h] + [np.array([v])]
+    return float(invert_to_grid(slice_, axes, calibrate=False).values.ravel()[0])
+
+
 def test_space_time_scaling_realspace():
     rng = np.random.default_rng(31)
     sl1 = heat_slice(H1, 1.0)
@@ -147,8 +152,8 @@ def test_space_time_scaling_realspace():
         t = float(rng.uniform(0.3, 2.0))
         h = rng.normal(size=2)
         v = float(rng.normal())
-        lhs = invert_at(heat_slice(H1, t), h, v)
-        rhs = t ** (-(H1.n + 2 * H1.m) / 2) * invert_at(sl1, h / math.sqrt(t), v / t)
+        lhs = _point_value(heat_slice(H1, t), h, v)
+        rhs = t ** (-(H1.n + 2 * H1.m) / 2) * _point_value(sl1, h / math.sqrt(t), v / t)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
@@ -211,7 +216,7 @@ def test_mehler_hat_integrates_to_area_profile():
 def test_fourier_invert_gaussian_closed_form():
     # (2 pi)^{-1} int e^{-a lam^2} e^{-i lam v} dlam = (4 pi a)^{-1/2} e^{-v^2 / (4 a)},
     # from the half line lam > 0 of the even integrand
-    lam, w = composite_gl(0.0, 40.0, 100, 8)
+    lam, w = composite_gl_edges(np.linspace(0.0, 40.0, 101), 8)
     v = np.linspace(-6.0, 6.0, 13)
     one = fourier_invert(np.exp(-0.25 * lam**2), None, lam, w, v)
     assert one.shape == v.shape
@@ -252,11 +257,15 @@ def _use_two_sided(monkeypatch):
         imag.append(np.max(np.abs(out.imag)) / np.max(np.abs(out.real)))
         return out.real
 
-    rule = kernels.oscillatory_rule
-    monkeypatch.setattr(kernels, "oscillatory_rule", lambda *a, **kw: _mirror(*rule(*a, **kw)))
-    monkeypatch.setattr(semigroups, "LAM_RULE", _mirror(*semigroups.LAM_RULE))
+    def mirrored(bound, vmax):
+        lam, w, cutoff = half_line_rule(bound, vmax)
+        return (*_mirror(lam, w), cutoff)
+
+    # the one rule and its halved refinement, both mirrored to lam < 0
+    monkeypatch.setattr(kernels, "half_line_rule", mirrored)
+    monkeypatch.setattr(kernels, "oscillatory_rule", lambda *a, **kw: _mirror(
+        *oscillatory_rule(*a, **kw)))
     monkeypatch.setattr(kernels, "fourier_invert", complex_invert)
-    monkeypatch.setattr(semigroups, "fourier_invert", complex_invert)
     return imag
 
 
@@ -287,8 +296,8 @@ def _callers():
         "grid-coeigen": lambda: invert_to_grid(
             invariant_slice(H1, PSI_SKEW), _grid_axes(), calibrate=False,
             vertical_multiplier=lambda lb: -1j * lb[:, 0]).values,   # (-i lam)^beta, beta = 1
-        "invert-at": lambda: [invert_at(perturbed_slice(H1, PSI_SKEW, 0.6), [0.3, -0.5], v)
-                              for v in (-1.2, 0.0, 0.7)],
+        "grid-one-point": lambda: [_point_value(perturbed_slice(H1, PSI_SKEW, 0.6),
+                                                [0.3, -0.5], v) for v in (-1.2, 0.0, 0.7)],
         "ou-apply-vertical": lambda: semigroups.ou_apply_vertical(
             H1, PSI_SKEW, 0.4, _bump_hat, H, V),
         "euclidean-ou": lambda: np.concatenate([
@@ -313,7 +322,7 @@ def test_half_line_inversion_matches_two_sided_complex(caller, monkeypatch):
 
 def test_invert_to_grid_records_lambda_rule():
     grid = invert_to_grid(heat_slice(H1, 0.6), _grid_axes())
-    lam, w, cutoff = _HatProfile(heat_slice(H1, 0.6)).lambda_rule(3.0)
+    lam, w, cutoff = half_line_rule(_HatProfile(heat_slice(H1, 0.6)).bound, 3.0)
     assert grid.meta["lam_nodes"] == len(lam) and grid.meta["lam_cutoff"] == cutoff
     # the half rule: nodes inside (0, cutoff), weights summing to its length
     assert 0.0 < lam.min() and lam.max() < cutoff
@@ -321,10 +330,10 @@ def test_invert_to_grid_records_lambda_rule():
 
 
 def _quarter_period_rule(limit, vmax):
-    # the former oscillatory rule: panels a quarter period pi/(2 vmax) wide
+    # panels a quarter period pi/(2 vmax) wide, with the same origin grading
     width = min(1.0, math.pi / (2.0 * vmax))
     edges = np.linspace(0.0, limit, max(2, math.ceil(limit / width)) + 1)
-    graded = [edges[1] / 64.0, edges[1] / 16.0, edges[1] / 4.0]
+    graded = edges[1] * 4.0 ** -np.arange(10, 0, -1)
     return composite_gl_edges(np.concatenate([[0.0], graded, edges[1:]]), 12)
 
 
@@ -349,13 +358,11 @@ def test_full_period_rule_matches_quarter_period_rule(case, monkeypatch):
     # panels on the same cutoff; the node-doubling estimate reads roundoff
     grid = _grid_cases()[case]()
     assert grid.meta["lam_err"] <= 1e-12
-    rule = _HatProfile.lambda_rule
-
-    def quarter(self, vmax, tol=1e-12):
-        cutoff = rule(self, vmax, tol)[2]
+    def quarter(bound, vmax):
+        cutoff = half_line_rule(bound, vmax)[2]
         return (*_quarter_period_rule(cutoff, vmax), cutoff)
 
-    monkeypatch.setattr(_HatProfile, "lambda_rule", quarter)
+    monkeypatch.setattr(kernels, "half_line_rule", quarter)
     ref = _grid_cases()[case]()
     assert ref.meta["lam_nodes"] > grid.meta["lam_nodes"]
     assert np.max(np.abs(grid.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
@@ -363,9 +370,31 @@ def test_full_period_rule_matches_quarter_period_rule(case, monkeypatch):
 
 def test_lambda_rule_self_check_raises():
     # cos(40 lam) oscillates ~13 times faster than the v <= 3 rule resolves
-    with pytest.raises(AccuracyError, match="halving"):
+    with pytest.raises(AccuracyError, match="doubling its nodes"):
         invert_to_grid(heat_slice(H1, 0.5), _grid_axes()[:2] + [np.linspace(-3.0, 3.0, 31)],
                        vertical_multiplier=lambda lb: np.cos(40.0 * lb[:, 0]))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_stable_exponents_pass_the_self_check(alpha):
+    # the |lam|^alpha cusp at lam = 0 is resolved by the origin grading
+    psi = LevyExponent(jumps=StableJumps(alpha), m=1)
+    axes = _grid_axes()[:2] + [np.linspace(-2.0, 2.0, 21)]
+    grid = invert_to_grid(perturbed_slice(H1, psi, 0.5), axes, calibrate=False)
+    assert grid.meta["lam_err"] <= 1e-10
+
+
+@pytest.mark.parametrize("bound", ["heat-0.5", "heat-1", "gaussian"])
+def test_cutoff_is_the_bisection_root(bound):
+    # the cutoff solves bound(lam) = 1e-12 bound(0+) for these decreasing bounds
+    from scipy.optimize import brentq
+
+    fn = {"heat-0.5": _HatProfile(heat_slice(H1, 0.5)).bound,
+          "heat-1": _HatProfile(heat_slice(H1, 1.0)).bound,
+          "gaussian": lambda lam: np.sqrt(math.pi) * np.exp(-lam**2 / 4)}[bound]
+    level = 1e-12 * fn(np.array([2.0**-20]))[0]
+    root = brentq(lambda x: fn(np.array([x]))[0] - level, 1.0, 1e3, xtol=1e-12)
+    assert abs(half_line_rule(fn, 3.0)[2] - root) <= 1e-6
 
 
 def test_inversion_rejects_m2_h_type_group():
@@ -446,7 +475,6 @@ def test_co_eigenfunction_finite_difference():
     J = co_eigenfunction(H1, psi, [1], ax)
     dens = J.meta["density"]
     sl = invariant_slice(H1, psi)
-    sl.c_norm = dens.meta["c_norm"]
     eps = 1e-4
     rng = np.random.default_rng(32)
     for _ in range(10):
@@ -455,7 +483,8 @@ def test_co_eigenfunction_finite_difference():
         k = rng.integers(2, 7)
         h = np.array([ax[0][i], ax[1][j]])
         v0 = ax[2][k]
-        fd = (invert_at(sl, h, v0 + eps) - invert_at(sl, h, v0 - eps)) / (2 * eps)
+        fd = (_point_value(sl, h, v0 + eps) - _point_value(sl, h, v0 - eps)) / (2 * eps)
+        fd *= dens.meta["c_norm"]
         fourier_side = -J.values[i, j, k] * dens.values[i, j, k]
         assert fd == pytest.approx(fourier_side, rel=1e-5, abs=1e-12)
 

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from carnot._quadrature import composite_gl_edges
+from carnot.errors import AccuracyError
 from carnot.groups import free_step2, heisenberg, quaternionic_h_type
+from carnot.kernels import fourier_invert
 from carnot.levy import CompoundPoisson, LevyExponent, NormalDist
 from carnot.polynomials import (
     GradedPolynomial,
@@ -18,8 +21,10 @@ from carnot.semigroups import (
     SemigroupOperator,
     _heat_apply,
     coeigen_residual,
+    convolve_fourier,
     eigen_decomposition,
     eigenfunction,
+    euclidean_levy_ou_apply,
     gamma_shift,
     intertwine_residual,
     nonnormality_witness,
@@ -203,6 +208,33 @@ def test_ou_apply_vertical_follows_row_permutation():
     moved = ou_apply_vertical(G, PSI_CP, 0.4, f_hat, H[perm], V)
     assert base.shape == (len(H), len(V))
     assert np.max(np.abs(moved - base[perm])) <= 1e-13 * np.max(np.abs(base))
+
+
+def test_transports_match_a_dense_fixed_rule():
+    # the transports' rule is cut where |f_hat| falls to 1e-12 of its maximum;
+    # a fixed 800-node rule on [0, 40] gives the same values
+    lam, w = composite_gl_edges(np.linspace(0.0, 40.0, 101), 8)
+    f_hat = lambda lam: np.sqrt(math.pi) * np.exp(1j * 0.8 * lam - lam**2 / 4)
+    V, t = np.linspace(-2.0, 2.5, 9), 0.4
+    for sign in (-1.0, 1.0):
+        mult = np.exp(np.asarray(PSI_CP.psi_t(t, sign * math.exp(-2 * t) * lam), dtype=complex))
+        ref = fourier_invert(f_hat(lam) * mult, None, lam, w, math.exp(-2 * t) * V)
+        got = euclidean_levy_ou_apply(PSI_CP, t, f_hat, V, reflected=sign > 0)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    h_mult = lambda lam: np.exp(np.asarray(PSI_CP.psi_limit(-lam), dtype=complex))
+    ref = fourier_invert(f_hat(lam) * h_mult(lam), None, lam, w, V)
+    got = convolve_fourier(f_hat, h_mult, V)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_transports_self_check_raises_on_an_unresolved_integrand():
+    # cos(40 lam) oscillates ~6 times per panel of the |v| <= 2.5 rule
+    f_hat = lambda lam: np.sqrt(math.pi) * np.exp(-lam**2 / 4) * np.cos(40.0 * lam)
+    V = np.linspace(-2.0, 2.5, 9)
+    with pytest.raises(AccuracyError, match="doubling its nodes"):
+        ou_apply_vertical(G, PSI_CP, 0.4, f_hat, np.zeros((3, 2)), V)
+    with pytest.raises(AccuracyError, match="doubling its nodes"):
+        euclidean_levy_ou_apply(PSI_CP, 0.4, f_hat, V)
 
 
 def test_intertwine_tbk_with_drift():
