@@ -310,7 +310,11 @@ def kernel_hat(spec, psi_spec, kind, t, z, lam, nu):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--gnuplot", is_flag=True, help="also write a plain .dat table")
 def kernel_invert(spec, psi_spec, kind, t, grid, out, gnuplot):
-    """Invert the kernel onto a grid and write CSV (coordinates, density)."""
+    """Invert the kernel onto a grid and write CSV (coordinates, density).
+
+    The density is scaled to unit mass on the grid; ``grid_mass`` is the mass
+    before, the share of the law the grid holds.
+    """
     G, _ = _load_group(spec)
     p = _load_psi(psi_spec, G.m, required=kind != "heat")
     axes = _parse_grid(grid, G)
@@ -328,7 +332,8 @@ def kernel_invert(spec, psi_spec, kind, t, grid, out, gnuplot):
     if gnuplot:
         np.savetxt(str(out) + ".dat", np.column_stack(cols), fmt="%.10g")
     _echo_json({"written": out, "nodes": int(dens.values.size),
-                "mass": dens.mass(), "c_norm": dens.meta.get("c_norm", 1.0)})
+                "mass": dens.mass(), "grid_mass": dens.meta["grid_mass"],
+                "c_norm": dens.meta["c_norm"]})
 
 
 # -- simulate ----------------------------------------------------------------

@@ -35,9 +35,6 @@ class GroupElement:
         if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.v))):
             raise GroupValidationError("group element has non-finite coordinates")
 
-    def as_array(self):
-        return np.concatenate([self.h, self.v])
-
 
 class CarnotGroup:
     """Step-2 Carnot group defined by its skew structure matrices.
@@ -134,10 +131,6 @@ class CarnotGroup:
         if c <= 0.0:
             raise ValueError("dilation factor must be positive")
         return GroupElement(c * g.h, c * c * g.v)
-
-    # vectorized variants used by the simulator; rows are independent points
-    def mul_arrays(self, h1, v1, h2, v2):
-        return h1 + h2, v1 + v2 + 0.5 * self.omega(h1, h2)
 
     # -- serialization -----------------------------------------------------
 

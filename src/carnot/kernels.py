@@ -101,10 +101,14 @@ def fourier_invert(envelope, rows, lam, w, v):
     envelope``; ``rows`` is None (a single row of ones; the result has shape
     ``(len(v),)``) or a pair ``(n, block)`` where ``block(lo, hi)`` returns
     rows ``lo:hi`` of the ``(n, len(lam))`` factor; the rows are taken about
-    4e6 entries at a time.
+    4e6 entries at a time.  The (cos, sin) table is written in place, one
+    ``(len(lam), 2, len(v))`` array viewed as ``2 len(lam)`` rows.
     """
     arg = np.outer(lam, v)
-    trig = np.stack([np.cos(arg), np.sin(arg)], axis=1).reshape(2 * len(lam), len(v))
+    trig = np.empty((len(lam), 2, len(v)))
+    np.cos(arg, out=trig[:, 0])
+    np.sin(arg, out=trig[:, 1])
+    trig = trig.reshape(2 * len(lam), len(v))
     env = np.asarray(envelope, dtype=complex) * (w / math.pi)
     n, block = rows if rows is not None else (1, lambda lo, hi: 1.0)
     out = np.empty((n, len(v)))
@@ -324,7 +328,9 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
     ``axes`` is a list of 1-d grids, one per horizontal coordinate and then
     the vertical one; only m = 1 is supported.  Returns a
     :class:`DensityGrid`; when ``calibrate`` is true the values are scaled
-    to unit trapezoidal mass and the constant stored in ``meta``.
+    to unit trapezoidal mass, and ``meta`` keeps the mass before, as
+    ``grid_mass`` (the share of the law the grid holds, up to quadrature
+    error), and the constant ``c_norm = 1 / grid_mass``.
 
     Hat and inversion run once per radius class of the points, copied to the
     class: keys within 1e-12 move a hat by < 1e-12 * max coef relative, 1.6e-11
@@ -355,6 +361,7 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
                        meta={"kind": slice_.kind, "t": slice_.t, **rule})
     if calibrate:
         mass = grid.mass()
+        grid.meta["grid_mass"] = mass
         grid.meta["c_norm"] = 1.0 / mass
         grid.values = grid.values / mass
     return grid
@@ -413,9 +420,16 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
     ``Lp = 2 n_v - 1 + 2 ceil(c_max / dv)``, where ``c_max`` is the largest
     |c| over the pairs that occur (x, y and x - y on the grid), so the
     shifted blocks do not wrap; ``Lp`` is odd, so the rfft side has no
-    Nyquist term to break the real shift.  It is recorded in ``meta``.  The v
-    transforms are DFT matmuls (``Lp`` is often prime, where FFTs fall back to
-    Bluestein); the inverse is :func:`fourier_invert` at ``-2 pi kappa / (Lp dv)``.
+    Nyquist term to break the real shift.  The v transforms are DFT matmuls
+    (``Lp`` is often prime, where FFTs fall back to Bluestein); the inverse is
+    :func:`fourier_invert` at ``-2 pi kappa / (Lp dv)``.
+
+    The y_1 convolutions are circular of length ``fft_len``, the smallest
+    2^a 3^b 5^c >= ``max(2 n_1 - 1 - mid_1, mid_1 + n_1)`` (``mid_1`` the
+    index of x_1 = 0): the linear convolution lives on ``0 .. 2 n_1 - 2`` and
+    only its entries ``mid_1 .. mid_1 + n_1 - 1`` are read, which the wrapped
+    terms at ``+-fft_len`` then miss.  ``Lp`` and ``fft_len`` are recorded in
+    ``meta``.
     """
     if G.n != 2 or G.m != 1:
         raise UnsupportedOperationError("grid convolution implemented for n=2, m=1")
@@ -443,22 +457,34 @@ def group_convolve(G: CarnotGroup, grid_f: DensityGrid, grid_g: DensityGrid):
     dft = np.exp(-2j * math.pi * (np.outer(np.arange(nv), kappa) % Lp) / Lp)
     F = (grid_f.values * wv) @ dft * np.outer(w1, w2)[..., None]
     F = np.ascontiguousarray(F.transpose(2, 1, 0))
-    G_fft = np.fft.fft((grid_g.values[:, ::-1] @ dft).transpose(2, 1, 0), 2 * n1 - 1)
+    N = _fast_length(max(2 * n1 - 1 - mid1, mid1 + n1))
+    G_fft = np.fft.fft((grid_g.values[:, ::-1] @ dft).transpose(2, 1, 0), N)
     phase_y2x1 = np.exp(1j * theta[:, None, None] * np.multiply.outer(x2, x1))
     spec = np.empty((n1, n2, len(kappa)), dtype=complex)
+    buf = np.empty(len(kappa) * n2 * N, dtype=complex)   # each row's zero-padded FFTs, in place
     for i2 in range(n2):
         lo, hi = max(0, i2 + mid2 - n2 + 1), min(n2, i2 + mid2 + 1)   # y_2 with z_2 on the grid
-        f_row = F[:, lo:hi] * np.exp(-1j * theta[:, None] * (x1 * x2[i2]))[:, None, :]
+        conv = buf[:len(kappa) * (hi - lo) * N].reshape(len(kappa), hi - lo, N)
+        np.multiply(F[:, lo:hi], np.exp(-1j * theta[:, None] * (x1 * x2[i2]))[:, None, :],
+                    out=conv[..., :n1])
+        conv[..., n1:] = 0.0
         rev = n2 - 1 - i2 - mid2
-        conv = np.fft.fft(f_row, 2 * n1 - 1) * G_fft[:, rev + lo:rev + hi]
-        conv = np.fft.ifft(conv)[..., mid1:mid1 + n1]
-        spec[:, i2] = np.einsum("kji,kji->ik", conv, phase_y2x1[:, lo:hi])
+        np.fft.fft(conv, out=conv)
+        conv *= G_fft[:, rev + lo:rev + hi]
+        np.fft.ifft(conv, out=conv)
+        spec[:, i2] = np.einsum("kji,kji->ik", conv[..., mid1:mid1 + n1], phase_y2x1[:, lo:hi])
     # block cell k holds v = 2 x_v[0] + k dv: output node j is read at x_v[j] - 2 x_v[0]
     rows, w_k = spec.reshape(n1 * n2, -1), np.where(kappa == 0, math.pi, 2.0 * math.pi) / Lp
     values = fourier_invert(np.ones(len(kappa)), (n1 * n2, lambda lo, hi: rows[lo:hi]),
                             -2.0 * math.pi * kappa / (Lp * dv), w_k, xv - 2.0 * xv[0])
     return DensityGrid(axes=list(ax), values=values.reshape(n1, n2, nv),
-                       meta={"kind": "convolution", "Lp": Lp})
+                       meta={"kind": "convolution", "Lp": Lp, "fft_len": N})
+
+
+def _fast_length(n):
+    """The smallest 2^a 3^b 5^c >= n: each odd part q times the least 2^a."""
+    odd = [3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length())]
+    return min(q << ((n - 1) // q).bit_length() for q in odd)
 
 
 def _uniform_axis(axis, origin):

@@ -122,6 +122,23 @@ def test_kernel_invert_and_estimate(runner, tmp_path):
     assert rows.shape == (13 * 13 * 17, 4)
 
 
+def test_kernel_invert_reports_the_mass_the_grid_holds(runner, tmp_path):
+    # the output is scaled to unit mass on the grid either way; grid_mass is
+    # the share of the law before that, so a truncated law shows
+    res = invoke(runner, ["kernel", "invert", "--out", str(tmp_path / "heat.csv")])
+    data = json.loads(res.output)
+    assert data["grid_mass"] == pytest.approx(1.0, abs=0.01)
+    assert data["c_norm"] == pytest.approx(1.0 / data["grid_mass"], rel=1e-12)
+    path = tmp_path / "psi.json"     # stationary Var v = 2.5e5 against v in [-3, 3]
+    path.write_text(json.dumps({"m": 1, "jumps": {
+        "type": "compound_poisson", "rate": 1e6,
+        "dist": {"kind": "normal", "mean": [0.0], "cov": [[1.0]]}}}))
+    res = invoke(runner, ["kernel", "invert", "--kind", "invariant", "--psi", str(path),
+                          "--grid", "h:-3:3:7,v:-3:3:13", "--out", str(tmp_path / "cp.csv")])
+    data = json.loads(res.output)
+    assert data["mass"] == pytest.approx(1.0) and data["grid_mass"] < 0.01
+
+
 def test_simulate_estimate_roundtrip(runner, tmp_path):
     out = tmp_path / "s.csv"
     invoke(runner, ["simulate", "levy", "--t", "1.0", "--paths", "2000",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from carnot.errors import AccuracyError, DegenerateFrameError, UnsupportedOperationError
-from carnot._quadrature import composite_gl_edges, half_line_rule, oscillatory_rule
+from carnot._quadrature import (composite_gl_edges, gauss_legendre, half_line_rule,
+                                oscillatory_rule)
 from carnot.groups import CarnotGroup, free_step2, h_type, heisenberg
 from carnot import kernels, semigroups
 from carnot.kernels import (
@@ -397,6 +398,19 @@ def test_cutoff_is_the_bisection_root(bound):
     assert abs(half_line_rule(fn, 3.0)[2] - root) <= 1e-6
 
 
+@pytest.mark.parametrize("edges, n", [
+    (np.concatenate([[0.0], 0.25 ** np.arange(10, 0, -1), np.linspace(1.0, 63.7, 12)]), 12),
+    (np.concatenate([[0.0], 2.0 ** np.arange(-12, 1)]), 16),
+    ([-3.0, -2.9, 0.1, 0.125, 7.0], 5),
+])
+def test_composite_rule_is_the_concatenated_panel_rules(edges, n):
+    # the one broadcast over panels is each panel's gauss_legendre, bit for bit
+    lam, w = composite_gl_edges(edges, n)
+    panels = [gauss_legendre(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(lam, np.concatenate([x for x, _ in panels]))
+    assert np.array_equal(w, np.concatenate([wt for _, wt in panels]))
+
+
 def test_inversion_rejects_m2_h_type_group():
     # two anticommuting complex structures on R^4: an H-type group with m = 2
     J1 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
@@ -495,6 +509,7 @@ def test_group_convolution_semigroup_smoke():
     q1 = invert_to_grid(heat_slice(H1, 0.5), ax, calibrate=False)
     q2 = invert_to_grid(heat_slice(H1, 1.0), ax, calibrate=False)
     conv = group_convolve(H1, q1, q1)
+    assert conv.meta["fft_len"] == 40           # 2 n_1 - 1 = 53 is prime
     assert np.max(np.abs(conv.values - q2.values)) < 2e-3
 
 
@@ -531,11 +546,17 @@ def _reference_group_convolve(G, grid_f, grid_g):
     ((np.linspace(-4, 4, 17), np.linspace(-4, 4, 17)), np.linspace(-1.95, 1.95, 23)),
     # even vertical count (trapezoid weights), off-centre origin nodes
     ((np.linspace(-3, 4.5, 16), np.linspace(-4, 3, 15)), np.linspace(-1.95, 1.95, 20)),
+    # the origin at an end of each horizontal axis: the y_1 FFT length bound
+    # max(2 n_1 - 1 - mid_1, mid_1 + n_1) reaches 2 n_1 - 1 = 25, a fast length
+    ((np.linspace(0, 3, 13), np.linspace(-3, 0, 13)), np.linspace(-1.4, 1.4, 15)),
+    ((np.linspace(-3, 0, 13), np.linspace(0, 3, 13)), np.linspace(-1.4, 1.4, 14)),
 ])
 def test_group_convolve_matches_direct_pair_sum(h_axes, v):
     # max |c| = max |omega(y, x)|/2 > 3 max|v|: most shifted samples leave the
     # vertical axis, and the period Lp must hold them without wrapping.  The
-    # even vertical count puts x_v[0] half a cell off the convolution nodes
+    # even vertical count puts x_v[0] half a cell off the convolution nodes.
+    # The reference sums the pairs directly, so a y_1 FFT length too short to
+    # keep the read entries clean of wrapped terms shows here
     ax = list(h_axes) + [v]
     f = invert_to_grid(heat_slice(H1, 0.5), ax, calibrate=False)
     g = invert_to_grid(perturbed_slice(H1, PSI_GAUSS, 0.5), ax, calibrate=False)
@@ -577,15 +598,18 @@ def _fft_group_convolve(G, grid_f, grid_g, Lp):
     return np.fft.irfft(spec, Lp)[..., :nv]
 
 
-@pytest.mark.parametrize("ax", [
-    [np.linspace(-4.5, 4.5, 41)] * 2 + [np.linspace(-3.5, 3.5, 41)],   # criterion 4: Lp = 197
-    [np.linspace(-3, 4.5, 16), np.linspace(-4, 3, 15), np.linspace(-1.95, 1.95, 20)],
-])
-def test_group_convolve_dft_matches_fft(ax):
-    # the DFT matmuls and the half-line inverse against rfft/irfft at the same Lp
+@pytest.mark.parametrize("ax, fft_len", [
+    # criterion 4: Lp = 197, and the y_1 FFTs at 64 in place of 2 n_1 - 1 = 81
+    ([np.linspace(-4.5, 4.5, 41)] * 2 + [np.linspace(-3.5, 3.5, 41)], 64),
+    ([np.linspace(-3, 4.5, 16), np.linspace(-4, 3, 15), np.linspace(-1.95, 1.95, 20)], 25),
+], ids=["ax0", "ax1"])
+def test_group_convolve_dft_matches_fft(ax, fft_len):
+    # the DFT matmuls, the half-line inverse and the alias-free y_1 FFT length
+    # against rfft/irfft at the same Lp and y_1 FFTs at 2 n_1 - 1
     f = invert_to_grid(heat_slice(H1, 0.5), ax, calibrate=False)
     g = invert_to_grid(perturbed_slice(H1, PSI_GAUSS, 0.5), ax, calibrate=False)
     conv = group_convolve(H1, f, g)
+    assert conv.meta["fft_len"] == fft_len
     ref = _fft_group_convolve(H1, f, g, conv.meta["Lp"])
     assert np.max(np.abs(conv.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
