@@ -420,6 +420,7 @@ class LevyExponent:
             _finite(sigma, "sigma"))
         self.b = np.zeros(self.m) if b is None else np.atleast_1d(_finite(b, "b"))
         self.jumps = jumps if jumps is not None else NoJumps()
+        self._moments = {}      # stationary_moments by order
         if self.sigma.shape != (self.m, self.m) or self.b.shape != (self.m,):
             raise ValueError("sigma/b dimensions inconsistent")
         if getattr(getattr(self.jumps, "dist", None), "m", self.m) != self.m:
@@ -512,7 +513,13 @@ class LevyExponent:
         Computed from the power series of ``psi_limit``: the cumulant of
         multi-index gamma is the corresponding psi coefficient divided by
         ``2 |gamma|``; the series exponential converts cumulants to moments.
+        Computed once per order; each call returns a fresh dict.
         """
+        if order not in self._moments:
+            self._moments[order] = self._stationary_moments(order)
+        return dict(self._moments[order])
+
+    def _stationary_moments(self, order):
         if not self.in_N_log:
             raise UnsupportedOperationError("no stationary law for this exponent")
         cum = {}

@@ -463,19 +463,6 @@ class GeneratorMatrix:
             return self._ladder_count(eigenvalue)
         return svd_nullity(self.entries, eigenvalue, tol)
 
-    def _vector_to_poly(self, vec):
-        terms = {key: c for key, c in zip(self.basis, vec) if abs(c) > 1e-13}
-        return GradedPolynomial(self.nh, self.mv, terms)
-
-    def poly_to_vector(self, p, dtype=float):
-        idx = {key: i for i, key in enumerate(self.basis)}
-        vec = np.zeros(len(self.basis), dtype=dtype)
-        for key, c in p.terms.items():
-            if key not in idx:
-                raise ValueError("polynomial exceeds the degree cap of the matrix")
-            vec[idx[key]] = float(c)
-        return vec
-
 
 def svd_nullity(entries, eigenvalue, tol=None):
     """Dimension of ``ker(entries - eigenvalue I)``: singular values below

@@ -36,8 +36,8 @@ from .kernels import (
 from .levy import LevyExponent
 from .polynomials import (
     GradedPolynomial,
-    generator_matrix,
     monomial_basis,
+    operator_matrix,
     ou_generator,
     sub_laplacian,
     vertical_operator,
@@ -71,6 +71,7 @@ class SemigroupOperator:
 
     kind: "heat" (horizontal heat), "levy-heat" (heat plus vertical jumps),
     "ou" (Ornstein-Uhlenbeck), "levy-ou" (perturbed Ornstein-Uhlenbeck).
+    Every kind runs the one terminating series of :func:`_exp_series`.
     """
 
     kind: str
@@ -90,33 +91,38 @@ class SemigroupOperator:
         psi = self.psi if self.kind in ("levy-heat", "levy-ou") else None
         if psi is not None:
             psi.require_moments(p.graded_degree())
-        if self.kind in ("heat", "levy-heat"):
-            return _heat_apply(self.group, psi, self.t, p)
-        from scipy.linalg import expm
-
-        cap = p.graded_degree()
-        gm = generator_matrix(self.group, psi, cap)
-        vec = gm.poly_to_vector(p)
-        out = expm(self.t * gm.entries) @ vec
-        return gm._vector_to_poly(out)
+        return _exp_series(self.group, psi, self.t, p, ou=self.kind in ("ou", "levy-ou"))
 
 
-def _heat_apply(G, psi, t, p):
-    """``exp(t (Delta_H + A))`` as the exact nilpotent series.
+def _exp_series(G, psi, t, p, ou):
+    """``exp(t L) p = sum_k a^k / k! q_k``: one terminating series with
 
-    Both operators strictly lower the graded degree, so the series
-    terminates after at most half the degree of ``p`` steps.
+    ``q_0 = p`` and exact (Fraction) steps, for every semigroup on
+    polynomials.  Heat kinds (``L = Delta_H + A``) take the Taylor series:
+    ``a = t`` and ``q_{k+1} = L q_k``; L strictly lowers the graded degree.
+    OU kinds (L adds the dilation generator ``-deg``) take the Newton form
+    of ``e^{tz}`` at the nodes 0, -1, -2, ...: ``a = 1 - e^{-t}`` and
+    ``q_{k+1} = (L + k) q_k``; L is diagonalisable with eigenvalues
+    ``0, -1, ..., -deg p`` (``GeneratorMatrix.ladder``), so the product of
+    the ``L + k`` vanishes.  Either way q reaches an exact zero within
+    ``deg p + 1`` steps, or ArithmeticError is raised.
+
+    ``a`` is ``1 - e^{-t}`` in Fractions from the rounded ``e^{-t}``, so the
+    level-j eigencomponent decays by that float's j-th power (j roundings);
+    a rounded ``a`` would err there by about ``j e^t`` roundings.
     """
     vertical = vertical_operator(psi, p.mv, max((sum(g) for _, g in p.terms), default=0))
-    out = p
-    term = p
-    k = 1
-    while True:
-        term = sub_laplacian(G, term) + vertical(term)
-        if term.is_zero():
+    a = 1 - Fraction(math.exp(-t)) if ou else t
+    out = q = GradedPolynomial(p.nh, p.mv, {key: Fraction(c) for key, c in p.terms.items()})
+    for k in range(p.graded_degree() + 1):
+        shift = {(al, ga): (k - sum(al) - 2 * sum(ga)) * c        # (k - deg) q
+                 for (al, ga), c in q.terms.items()} if ou else {}
+        q = sub_laplacian(G, q) + vertical(q) + GradedPolynomial(q.nh, q.mv, shift)
+        if q.is_zero():
             return out
-        out = out + term.scale(t**k / math.factorial(k))
-        k += 1
+        out = out + q.scale(a ** (k + 1) / math.factorial(k + 1))
+    raise ArithmeticError(f"the semigroup series of a degree-{p.graded_degree()} polynomial "
+                          "did not terminate")
 
 
 def gamma_shift(psi, p: GradedPolynomial) -> GradedPolynomial:
@@ -134,7 +140,7 @@ def gamma_shift(psi, p: GradedPolynomial) -> GradedPolynomial:
 
 def _q_half_gamma(G, psi, p):
     """``Q_{1/2} Gamma p``: the stationary vertical shift, then heat to time 1/2."""
-    return _heat_apply(G, None, 0.5, gamma_shift(psi, p))
+    return _exp_series(G, None, 0.5, gamma_shift(psi, p), ou=False)
 
 
 def stationary_expectation(G, psi, p: GradedPolynomial):
@@ -158,7 +164,7 @@ def eigenfunction(G, psi, alpha, gamma):
     stationary moments are.
     """
     mono = GradedPolynomial.monomial(G.n, G.m, alpha, gamma)
-    out = term = _heat_apply(G, None, Fraction(-1, 2), mono)
+    out = term = _exp_series(G, None, Fraction(-1, 2), mono, ou=False)
     while True:
         term = term - gamma_shift(psi, term)
         if term.is_zero():
@@ -201,30 +207,24 @@ def eigen_decomposition(G, psi, cap, t=1.0):
 # Euclidean comparison semigroups
 # ---------------------------------------------------------------------------
 
-def mehler_apply(f, t, points, dim):
-    """Ornstein-Uhlenbeck semigroup on R^dim with generator
+def mehler_apply(f, t, points, nodes):
+    """Ornstein-Uhlenbeck semigroup on R^n with generator
 
     ``Laplacian - <x, grad>`` via the Mehler representation
 
-        P f(x) = E f(e^{-t} x + sqrt(1 - e^{-2t}) xi),  xi standard normal.
+        P f(x) = E f(e^{-t} x + sqrt(1 - e^{-2t}) xi),  xi standard normal,
+
+    by the tensor Gauss-Hermite rule with ``nodes`` nodes per axis, exact
+    for polynomials of degree < 2 nodes.  n is ``points.shape[1]``; f takes
+    an array whose last axis holds the coordinates.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(48)
-    scale = math.sqrt(1.0 - math.exp(-2.0 * t)) * math.sqrt(2.0)
+    x, w = np.polynomial.hermite.hermgauss(nodes)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if dim == 1:
-        shift = scale * nodes
-        vals = f(math.exp(-t) * pts[:, 0][:, None] + shift[None, :])
-        return vals @ weights / math.sqrt(math.pi)
-    if dim == 2:
-        n1, n2 = np.meshgrid(nodes, nodes, indexing="ij")
-        w = np.outer(weights, weights).ravel() / math.pi
-        sh1, sh2 = scale * n1.ravel(), scale * n2.ravel()
-        vals = f(
-            math.exp(-t) * pts[:, 0][:, None] + sh1[None, :],
-            math.exp(-t) * pts[:, 1][:, None] + sh2[None, :],
-        )
-        return vals @ w
-    raise UnsupportedOperationError("Mehler quadrature implemented for dim <= 2")
+    n = pts.shape[1]
+    idx = np.stack(np.meshgrid(*[np.arange(nodes)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    xi, weights = x[idx], np.prod(w[idx], axis=1) / math.pi ** (n / 2)
+    scale = math.sqrt(1.0 - math.exp(-2.0 * t)) * math.sqrt(2.0)
+    return f(math.exp(-t) * pts[:, None, :] + scale * xi[None, :, :]) @ weights
 
 
 def _deformed(psi, t, lam):
@@ -365,8 +365,9 @@ def intertwine_residual(pair, G, psi, t, test=None, seed=123, tol=None):
 def _pi_residual(G, psi, t, test, rng, tol):
     """Lifted horizontal functions: the group semigroup acts as the Mehler
 
-    semigroup on them.  Polynomials run exactly; a Gaussian test function
-    runs through two quadratures.
+    semigroup on them.  Polynomials run exactly on any n: the Mehler side
+    takes ``ceil((deg + 1) / 2)`` Gauss-Hermite nodes per axis.  A Gaussian
+    test function on R^2 runs through two quadratures.
     """
     test = test or "h1"
     if test in ("const", "h1", "hermite2"):
@@ -380,12 +381,8 @@ def _pi_residual(G, psi, t, test, rng, tol):
         op = SemigroupOperator("levy-ou" if psi is not None else "ou", G, psi, t)
         lhs = op.apply_to_polynomial(p)
         pts = np.array([rng.normal(size=G.n) for _ in range(30)])
-        if G.n != 2:
-            raise UnsupportedOperationError("pi residual implemented for n = 2")
-        rhs_vals = mehler_apply(
-            lambda x, y: p.evaluate(np.stack([x, y], axis=-1), np.zeros(np.shape(x) + (G.m,))),
-            t, pts, dim=2,
-        )
+        rhs_vals = mehler_apply(lambda x: p.evaluate(x, np.zeros(x.shape[:-1] + (G.m,))),
+                                t, pts, (p.graded_degree() + 2) // 2)
         lhs_vals = np.array([lhs.evaluate(h, np.zeros(G.m)) for h in pts])
         res = float(np.max(np.abs(lhs_vals - rhs_vals)))
         return IntertwinerReport("pi", test, t, res, tol if tol else 1e-12)
@@ -393,7 +390,7 @@ def _pi_residual(G, psi, t, test, rng, tol):
         a = 0.4
         f2 = lambda x, y: np.exp(-a * (x**2 + y**2))
         pts = np.array([rng.normal(size=2) for _ in range(20)])
-        rhs = mehler_apply(f2, t, pts, dim=2)
+        rhs = mehler_apply(lambda x: f2(x[..., 0], x[..., 1]), t, pts, 48)
         # kernel-side path: horizontal marginal of the group semigroup is the
         # heat flow at s = (1 - e^{-2t})/2 with per-coordinate variance 2s
         s = (1.0 - math.exp(-2 * t)) / 2.0
@@ -654,11 +651,8 @@ def nonnormality_witness(G, psi, t=1.0, cap=3):
     on degree 3, where eigenfunctions with distinct eigenvalues overlap:
     e.g. ``<h2 v - h1/2, h1> = -1/2`` on the first Heisenberg group.
     """
-    from scipy.linalg import expm
-
     basis, gram = weighted_gram(G, psi, cap=cap)
-    gm = generator_matrix(G, psi, cap)
-    M = expm(t * gm.entries)
+    _, M = operator_matrix(lambda p: _exp_series(G, psi, t, p, ou=True), G.n, G.m, cap)
     gram_inv = np.linalg.inv(gram)
     M_adj = gram_inv @ M.T @ gram
     comm = M_adj @ M - M @ M_adj

@@ -227,22 +227,31 @@ def check_mc_vs_kernel(G=None, t=1.0, paths=100_000, seed=7,
     """
     G = G or heisenberg(1)
     exps = _named_exponents(exponents, ("none", "cp"), G.m)
+    cfg = PathConfig(horizon=t, steps_per_unit=2048, paths=paths, seed=seed)
+    return _charfn_check("mc-vs-kernel", simulate_levy_on_group, G, exps, cfg,
+                         lam_panel, lambda psi, lam: vertical_charfn(G, psi, t, lam), allowance)
+
+
+def _charfn_check(name, simulate, G, exps, cfg, lam_panel, exact, allowance):
+    """Simulate each exponent's vertical endpoint, then compare its
+
+    empirical characteristic function at ``lam e_1`` with ``exact(psi, lam)``
+    within three Monte Carlo standard errors plus ``allowance``.
+    """
     panel = np.outer(lam_panel, np.eye(G.m)[0])      # lam e_1 in R^m
     ok = True
-    detail = {"seed": seed}
-    for name, psi in exps.items():
-        cfg = PathConfig(horizon=t, steps_per_unit=2048, paths=paths, seed=seed)
-        _, V = simulate_levy_on_group(G, psi, cfg)
+    detail = {"seed": cfg.seed}
+    for psi_name, psi in exps.items():
+        _, V = simulate(G, psi, cfg)
         est = estimate_charfn(V, panel)
         errs, bounds = [], []
         for k, lam in enumerate(panel):
-            exact = vertical_charfn(G, psi, t, lam)
-            errs.append(abs(est.values[k] - exact))
+            errs.append(abs(est.values[k] - exact(psi, lam)))
             bounds.append(3 * est.stderr[k] + allowance)
         ok &= all(e < b for e, b in zip(errs, bounds))
-        detail[name] = [float(e) for e in errs]
-        detail[f"{name}_bounds"] = [float(b) for b in bounds]
-    return CheckResult("mc-vs-kernel", ok, detail)
+        detail[psi_name] = [float(e) for e in errs]
+        detail[f"{psi_name}_bounds"] = [float(b) for b in bounds]
+    return CheckResult(name, ok, detail)
 
 
 def check_intertwinings(G=None, t=0.5, exponents=None):
@@ -379,22 +388,10 @@ def check_stationary_law(G=None, paths=100_000, seed=41, exponents=None,
     """
     G = G or heisenberg(1)
     exps = _named_exponents(exponents, ("gaussian", "cp"), G.m)
-    panel = np.outer((0.25, 0.5, 1.0), np.eye(G.m)[0])   # lam e_1 in R^m
-    ok = True
-    detail = {"seed": seed}
-    for name, psi in exps.items():
-        cfg = PathConfig(horizon=6.0, steps_per_unit=2048, paths=paths, seed=seed)
-        _, V = simulate_levy_ou(G, psi, cfg)
-        est = estimate_charfn(V, panel)
-        errs, bounds = [], []
-        for k, lam in enumerate(panel):
-            exact = vertical_charfn(G, psi, None, lam, invariant=True)
-            errs.append(abs(est.values[k] - exact))
-            bounds.append(3 * est.stderr[k] + allowance)
-        ok &= all(e < b for e, b in zip(errs, bounds))
-        detail[name] = [float(e) for e in errs]
-        detail[f"{name}_bounds"] = [float(b) for b in bounds]
-    return CheckResult("stationary-law", ok, detail)
+    cfg = PathConfig(horizon=6.0, steps_per_unit=2048, paths=paths, seed=seed)
+    return _charfn_check("stationary-law", simulate_levy_ou, G, exps, cfg, (0.25, 0.5, 1.0),
+                         lambda psi, lam: vertical_charfn(G, psi, None, lam, invariant=True),
+                         allowance)
 
 
 def check_spectrum_description(G=None, seed=8, samples=200):

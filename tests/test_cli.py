@@ -82,8 +82,9 @@ def test_spectrum_ou_quaternionic_ladder(runner):
     assert [lvl["algebraic_multiplicity"] for lvl in levels] == expect
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # expm is imported where it is called, so start-up does not load scipy.linalg
+def test_cli_import_leaves_scipy_linalg_out(tmp_path):
+    # the package never imports scipy.linalg: neither at start-up nor in the
+    # checks that run the polynomial semigroups
     import carnot
 
     src = str(Path(carnot.__file__).resolve().parents[1])
@@ -91,10 +92,13 @@ def test_cli_import_leaves_scipy_linalg_out():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, carnot.cli; print('scipy.linalg' in sys.modules)"],
+         "import sys, carnot.cli; loaded = 'scipy.linalg' in sys.modules; "
+         "carnot.cli.main(['verify', 'nonnormal', 'intertwine', '--manifest', sys.argv[1]], "
+         "standalone_mode=False); print(loaded, 'scipy.linalg' in sys.modules)",
+         str(tmp_path / "runs.jsonl")],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False False"
 
 
 def test_spectrum_ou_stable_rejected(runner):
@@ -290,6 +294,8 @@ def test_unsupported_parts_are_skipped_with_reason(spec, check):
     if check == "intertwine":
         assert {f"{name}:{rel}:mixed" for name in ("gaussian", "cp")
                 for rel in ("gamma", "lp")} <= set(result.detail)
+        # the lift runs on every n: the Mehler side is a tensor rule
+        assert {f"{name}:pi:h1" for name in ("none", "gaussian", "cp")} <= set(result.detail)
 
 
 def test_intertwinings_keep_each_exponents_residual():

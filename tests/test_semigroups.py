@@ -19,7 +19,7 @@ from carnot.polynomials import (
 )
 from carnot.semigroups import (
     SemigroupOperator,
-    _heat_apply,
+    _exp_series,
     coeigen_residual,
     convolve_fourier,
     eigen_decomposition,
@@ -56,6 +56,63 @@ def test_ou_on_coordinates():
     assert (out - h(0).scale(math.exp(-0.7))).max_abs_coeff() < 1e-14
     out_v = op.apply_to_polynomial(v())
     assert (out_v - v().scale(math.exp(-1.4))).max_abs_coeff() < 1e-14
+    # P_t(c h1) = c e^{-t} h1 at every scale: no coefficient is dropped as small
+    for kind, psi in (("ou", None), ("levy-ou", PSI_CP)):
+        for c in (1e-14, 1.0, 1e14):
+            out = SemigroupOperator(kind, G, psi, 0.7).apply_to_polynomial(h(0).scale(c))
+            assert set(out.terms) == set(h(0).terms), (kind, c)
+            assert abs(float(out.terms[((1, 0), (0,))]) / (c * math.exp(-0.7)) - 1) <= 1e-15
+
+
+def _random_poly(group, degree, rng, count=8):
+    basis = monomial_basis(group.n, group.m, degree)
+    top = [i for i, (a, g) in enumerate(basis) if sum(a) + 2 * sum(g) == degree]
+    picks = set(rng.choice(len(basis), size=min(count, len(basis)) - 1, replace=False))
+    picks.add(int(rng.choice(top)))
+    return GradedPolynomial(group.n, group.m,
+                            {basis[i]: Fraction(int(rng.integers(1, 6)) * int(rng.choice([-1, 1])))
+                             for i in picks})
+
+
+def test_ou_series_matches_exact_rational_answer():
+    # at t = ln 2, e^{-jt} = 2^{-j}: the exact answer is sum_j 2^{-j} Pi_j p, with
+    # the spectral projectors Pi_j = prod_{i != j} (L + i) / (i - j) in Fractions
+    group = quaternionic_h_type()
+    psi = default_exponents(group.m)["cp"]
+    p = _random_poly(group, 6, np.random.default_rng(27))
+    exact = GradedPolynomial.zero(group.n, group.m)
+    for j in range(7):
+        part = p
+        for i in range(7):
+            if i != j:
+                part = (ou_generator(group, psi, part) + part.scale(i)).scale(Fraction(1, i - j))
+        exact = exact + part.scale(Fraction(1, 2**j))
+    got = SemigroupOperator("levy-ou", group, psi, math.log(2)).apply_to_polynomial(p)
+    assert set(got.terms) == set(exact.terms)
+    err = max(abs(float(got.terms[key] - c)) for key, c in exact.terms.items())
+    assert err <= 1e-15 * exact.max_abs_coeff()
+
+
+def _expm_apply(group, psi, t, p):
+    # the dense reference: expm of the generator matrix on the coefficient vector
+    gm = generator_matrix(group, psi, p.graded_degree())
+    vec = np.array([float(p.terms.get(key, 0)) for key in gm.basis])
+    return dict(zip(gm.basis, expm(t * gm.entries) @ vec))
+
+
+@pytest.mark.parametrize("group", [G, heisenberg(2), quaternionic_h_type(), free_step2(3)],
+                         ids=["h1", "h2", "quaternionic", "free_step2(3)"])
+def test_ou_series_matches_expm(group):
+    rng = np.random.default_rng(28)
+    for psi in default_exponents(group.m).values():
+        kind = "ou" if psi is None else "levy-ou"
+        for t in (0.5, 3.0):
+            p = _random_poly(group, 4, rng)
+            ref = _expm_apply(group, psi, t, p)
+            got = SemigroupOperator(kind, group, psi, t).apply_to_polynomial(p)
+            assert set(got.terms) <= set(ref)
+            err = max(abs(float(got.terms.get(key, 0)) - c) for key, c in ref.items())
+            assert err <= 1e-13 * max(abs(c) for c in ref.values()), (kind, t, err)
 
 
 def test_heat_on_square():
@@ -151,8 +208,9 @@ def test_eigen_decomposition_matches_dense_solve(group, name):
     # reference: the preimages of the monomials under the dense matrix of
     # Q_{1/2} Gamma, one column per monomial
     psi = default_exponents(group.m)[name]
-    basis, mat = operator_matrix(lambda p: _heat_apply(group, None, 0.5, gamma_shift(psi, p)),
-                                 group.n, group.m, 4)
+    basis, mat = operator_matrix(
+        lambda p: _exp_series(group, None, 0.5, gamma_shift(psi, p), ou=False),
+        group.n, group.m, 4)
     ref = np.linalg.solve(mat, np.eye(len(basis)))
     polys = [p for _, level in eigen_decomposition(group, psi, 4) for p in level]
     got = np.zeros_like(ref)
