@@ -24,15 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import AccuracyError, DegenerateFrameError, UnsupportedOperationError
 from .groups import CarnotGroup
-from .kernels import (
-    heat_hat,
-    heat_slice,
-    invariant_hat,
-    invariant_slice,
-    invert_to_grid,
-    perturbed_hat,
-    perturbed_slice,
-)
+from .kernels import heat_slice, invariant_slice, invert_to_grid, perturbed_slice
 from .levy import LevyExponent
 from .polynomials import generator_matrix
 from .semigroups import coeigen_residual, eigen_decomposition, intertwine_residual
@@ -270,6 +262,14 @@ def spectrum_ou(spec, psi_spec, degree):
 
 # -- kernel ------------------------------------------------------------------
 
+# each kind's slice from (group, exponent, --t); the invariant kernel's time is 1/2
+_SLICES = {
+    "heat": lambda G, psi, t: heat_slice(G, t),
+    "perturbed": perturbed_slice,
+    "invariant": lambda G, psi, t: invariant_slice(G, psi),
+}
+
+
 @main.group()
 def kernel():
     """Kernel evaluation and inversion."""
@@ -278,8 +278,7 @@ def kernel():
 @kernel.command("hat")
 @click.option("--spec", default="builtin:h1")
 @click.option("--psi", "psi_spec", default="none")
-@click.option("--kind", type=click.Choice(["heat", "perturbed", "invariant"]),
-              default="heat")
+@click.option("--kind", type=click.Choice(list(_SLICES)), default="heat")
 @click.option("--t", type=FINITE, default=0.5)
 @click.option("--z", default=None, help="plane coordinates, comma separated")
 @click.option("--lam", required=True)
@@ -291,20 +290,14 @@ def kernel_hat(spec, psi_spec, kind, t, z, lam, nu):
     lam_v = _parse_vector(lam, "lam", G.m)
     z_v = _parse_vector(z, "z", 2 * G.d) if z else np.zeros(2 * G.d)
     nu_v = _parse_vector(nu, "nu", G.k) if nu else np.zeros(G.k)
-    if kind == "heat":
-        val = complex(heat_hat(G, t, z_v, lam_v, nu_v))
-    elif kind == "perturbed":
-        val = complex(perturbed_hat(G, p, t, z_v, lam_v, nu_v))
-    else:
-        val = complex(invariant_hat(G, p, z_v, lam_v, nu_v))
+    val = _SLICES[kind](G, p, t).hat(z_v, lam_v, nu_v)
     _echo_json({"kind": kind, "value": [val.real, val.imag]})
 
 
 @kernel.command("invert")
 @click.option("--spec", default="builtin:h1")
 @click.option("--psi", "psi_spec", default="none")
-@click.option("--kind", type=click.Choice(["heat", "perturbed", "invariant"]),
-              default="heat")
+@click.option("--kind", type=click.Choice(list(_SLICES)), default="heat")
 @click.option("--t", type=FINITE, default=0.5)
 @click.option("--grid", default="h:-3:3:31,v:-4:4:41")
 @click.option("--out", type=click.Path(), required=True)
@@ -318,13 +311,7 @@ def kernel_invert(spec, psi_spec, kind, t, grid, out, gnuplot):
     G, _ = _load_group(spec)
     p = _load_psi(psi_spec, G.m, required=kind != "heat")
     axes = _parse_grid(grid, G)
-    if kind == "heat":
-        sl = heat_slice(G, t)
-    elif kind == "perturbed":
-        sl = perturbed_slice(G, p, t)
-    else:
-        sl = invariant_slice(G, p)
-    dens = invert_to_grid(sl, axes)
+    dens = invert_to_grid(_SLICES[kind](G, p, t), axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     cols = [m.ravel() for m in mesh] + [dens.values.ravel()]
     header = [f"h{i+1}" for i in range(G.n)] + [f"v{j+1}" for j in range(G.m)] + ["density"]

@@ -16,7 +16,9 @@ Schmidt isometry, and the Mehler expansion of the hat in Laguerre modes.
 Vertical Levy perturbations multiply the hat by ``exp(t psi(lam))``; the
 stationary density of the Ornstein-Uhlenbeck semigroup is the ``t = 1/2``
 heat hat times ``exp(int_0^inf psi(-e^{-2s} lam) ds)`` with the radical
-factor ``exp(-|nu|^2 / 2)``.
+factor ``exp(-|nu|^2 / 2)``.  A :class:`KernelSlice` holds each kind's
+Gaussian time and vertical factor; hats, characteristic functions and grids
+read them from it.
 
 Everything partial-Fourier is computed in one place each: the Mehler
 (sinh/coth) hat in :func:`mehler_hat`, its area (sech/tanh) counterpart in
@@ -164,26 +166,12 @@ def heat_hat(G: CarnotGroup, t, z, lam, nu=()):
 
 def perturbed_hat(G: CarnotGroup, psi, t, z, lam, nu=()):
     """Heat hat times ``exp(t psi(lam))``."""
-    base = heat_hat(G, t, z, lam, nu)
-    if psi is None or psi.is_trivial:
-        return complex(base)
-    return base * np.exp(t * complex(psi.psi(np.atleast_1d(lam))))
+    return perturbed_slice(G, psi, t).hat(z, lam, nu)
 
 
 def invariant_hat(G: CarnotGroup, psi, z, lam, nu=()):
-    """Hat of the stationary Ornstein-Uhlenbeck density: the ``t = 1/2`` heat
-
-    hat times ``exp(int_0^inf psi(-e^{-2s} lam) ds)`` (the reflected
-    stationary vertical law).
-    """
-    base = heat_hat(G, 0.5, z, lam, nu)
-    if psi is None or psi.is_trivial:
-        return complex(base)
-    if not psi.in_N_log:
-        raise UnsupportedOperationError(
-            "no stationary density: jump measure lacks a logarithmic moment"
-        )
-    return base * np.exp(complex(psi.psi_limit(-np.atleast_1d(lam))))
+    """Hat of the stationary Ornstein-Uhlenbeck density (:func:`invariant_slice`)."""
+    return invariant_slice(G, psi).hat(z, lam, nu)
 
 
 def vertical_charfn(G: CarnotGroup, psi, t, lam, invariant=False):
@@ -196,15 +184,7 @@ def vertical_charfn(G: CarnotGroup, psi, t, lam, invariant=False):
     With ``invariant=True`` the stationary version (t = 1/2 heat part and
     the reflected stationary exponent) is returned.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    fr = frame_at(G, lam).require_generic()
-    tt = 0.5 if invariant else float(t)
-    base = float(mehler_area(fr.eta, tt)[0])
-    if psi is None or psi.is_trivial:
-        return complex(base)
-    if invariant:
-        return base * np.exp(complex(psi.psi_limit(-lam)))
-    return base * np.exp(t * complex(psi.psi(lam)))
+    return (invariant_slice(G, psi) if invariant else perturbed_slice(G, psi, t)).charfn(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +193,43 @@ def vertical_charfn(G: CarnotGroup, psi, t, lam, invariant=False):
 
 @dataclass
 class KernelSlice:
-    """Evaluator package for one kernel: heat, perturbed, or stationary."""
+    """One kernel of the theory: the heat hat at the Gaussian time ``t`` times
+
+    the vertical factor of its kind, written only in :meth:`multiplier`:
+
+    - "heat": 1;
+    - "perturbed": ``exp(t psi(lam))``;
+    - "invariant", the stationary density at ``t = 1/2``:
+      ``exp(int_0^inf psi(-e^{-2s} lam) ds)``, the reflected stationary law.
+    """
 
     group: CarnotGroup
     kind: str                      # "heat" | "perturbed" | "invariant"
     t: float                       # effective Gaussian time (1/2 for invariant)
     psi: object = None
 
-    def multiplier(self, lam_batch):
-        """Vertical multiplier on a batch of frequencies (shape (N, m))."""
+    def multiplier(self, lam):
+        """Vertical factor at one frequency (shape (m,)) or a batch (N, m);
+
+        complex, as the exponents are.
+        """
         if self.kind == "heat" or self.psi is None or self.psi.is_trivial:
-            return np.ones(len(lam_batch), dtype=complex)
+            return np.ones(np.shape(lam)[:-1], dtype=complex)
         if self.kind == "perturbed":
-            return np.exp(self.t * np.asarray(self.psi.psi(lam_batch), dtype=complex))
-        return np.exp(np.asarray(self.psi.psi_limit(-lam_batch), dtype=complex))
+            return np.exp(self.t * self.psi.psi(lam))
+        return np.exp(self.psi.psi_limit(-np.asarray(lam, dtype=float)))
+
+    def hat(self, z, lam, nu=()):
+        """The partial Fourier transform at ``(lam, nu)`` (:func:`heat_hat`)."""
+        return heat_hat(self.group, self.t, z, lam, nu) * complex(self.multiplier(lam))
+
+    def charfn(self, lam):
+        """The hat integrated over the horizontal layer: ``prod_j sech(eta_j t)``
+
+        times the vertical factor, at one frequency.
+        """
+        eta = frame_at(self.group, lam).require_generic().eta
+        return float(mehler_area(eta, self.t)[0]) * complex(self.multiplier(lam))
 
 
 def heat_slice(G, t):
@@ -239,7 +242,8 @@ def perturbed_slice(G, psi, t):
 
 def invariant_slice(G, psi):
     if psi is not None and not psi.is_trivial and not psi.in_N_log:
-        raise UnsupportedOperationError("no stationary density for this exponent")
+        raise UnsupportedOperationError(
+            "no stationary density: the jump measure lacks a logarithmic moment")
     return KernelSlice(group=G, kind="invariant", t=0.5, psi=psi)
 
 
@@ -268,15 +272,13 @@ class _HatProfile:
     ``lam`` and ``eta(lam) = |lam| eta(1)``.
     """
 
-    def __init__(self, slice_: KernelSlice):
-        G = slice_.group
+    def __init__(self, G: CarnotGroup, t):
         if G.m != 1:
             raise UnsupportedOperationError(
                 "real-space inversion is implemented for m = 1; groups with "
                 "m >= 2 support hat-side evaluation only"
             )
-        self.slice = slice_
-        self.G = G
+        self.G, self.t = G, t
         self.frame = frame_at(G, np.ones(1))
         self.eta_unit = self.frame.eta
 
@@ -304,7 +306,7 @@ class _HatProfile:
 
     def values(self, zsq, rsq, lam_batch):
         """Heat hats (len(zsq), len(lam_batch)), without the slice multiplier."""
-        t = self.slice.t
+        t = self.t
         log_amp, coef = mehler_hat(self.eta(lam_batch[:, 0]), t)
         out = np.exp(log_amp[None, :] - np.einsum("hd,ld->hl", zsq, coef))
         if self.G.k > 0:
@@ -319,7 +321,7 @@ class _HatProfile:
 
         up to the radical factor: ``exp(-zsq coef)`` and ``|exp(t psi)|`` are <= 1.
         """
-        return np.exp(mehler_hat(self.eta(lam), self.slice.t)[0])
+        return np.exp(mehler_hat(self.eta(lam), self.t)[0])
 
 
 def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplier=None):
@@ -341,7 +343,7 @@ def invert_to_grid(slice_: KernelSlice, axes, calibrate=True, vertical_multiplie
     records ``lam_nodes``, ``lam_cutoff`` and ``lam_err``.
     """
     G = slice_.group
-    profile = _HatProfile(slice_)
+    profile = _HatProfile(G, slice_.t)
     if len(axes) != G.n + 1:
         raise ValueError(f"need {G.n + 1} axes, got {len(axes)}")
     H = np.stack([c.ravel() for c in np.meshgrid(*axes[: G.n], indexing="ij")], axis=1)

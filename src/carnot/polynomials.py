@@ -418,50 +418,38 @@ class GeneratorMatrix:
 
     @functools.cached_property
     def ladder(self):
-        """Layer dimensions ``[dim_0, ..., dim_cap]`` when the entries carry
+        """Layer dimensions ``[dim_0, ..., dim_cap]``, read from the entries'
 
-        the exact ladder structure, else None.
-
-        The structure: every entry on or below the diagonal degree blocks is
-        0.0 off the diagonal, and the diagonal is exactly ``-deg``.  Then the
-        matrix is block upper triangular in the degree order, with diagonal
-        blocks ``-k I`` for distinct k, so it is diagonalisable: ``-k`` is
-        an eigenvalue whose algebraic and geometric multiplicities both
-        equal the dimension of the degree-k layer.  Entries are float
+        exact ladder structure: every entry on or below the diagonal degree
+        blocks is 0.0 off the diagonal, and the diagonal is exactly ``-deg``.
+        Then the matrix is block upper triangular in the degree order, with
+        diagonal blocks ``-k I`` for distinct k, so it is diagonalisable:
+        ``-k`` is an eigenvalue whose algebraic and geometric multiplicities
+        both equal the dimension of the degree-k layer.  Entries are float
         images of Fractions, so the exact ``==`` tests are sound.
+
+        :func:`generator_matrix` always has the structure: it writes ``-deg``
+        on the diagonal and every other term lowers the degree by at least 2.
+        A matrix without it raises ``ArithmeticError``.
         """
         degs = np.array([sum(a) + 2 * sum(g) for a, g in self.basis])
         lower = degs[:, None] >= degs[None, :]
         np.fill_diagonal(lower, False)
         if np.any(self.entries[lower] != 0.0) or np.any(np.diag(self.entries) != -degs):
-            return None
+            raise ArithmeticError("the matrix lacks the exact ladder structure of a generator")
         return np.bincount(degs, minlength=self.degree_cap + 1).tolist()
 
-    @property
-    def method(self):
-        """``"structure"`` when :attr:`ladder` certifies the spectrum, else ``"svd"``."""
-        return "svd" if self.ladder is None else "structure"
+    def eigenvalues(self):
+        return np.repeat(-np.arange(len(self.ladder), dtype=float), self.ladder)
 
-    def _ladder_count(self, eigenvalue):
+    def algebraic_multiplicity(self, eigenvalue):
         k = -complex(eigenvalue)
         if k.imag == 0 and k.real.is_integer() and 0 <= k.real < len(self.ladder):
             return self.ladder[int(k.real)]
         return 0
 
-    def eigenvalues(self):
-        if self.ladder is not None:
-            return np.repeat(-np.arange(len(self.ladder), dtype=float), self.ladder)
-        return np.linalg.eigvals(self.entries)
-
-    def algebraic_multiplicity(self, eigenvalue, tol=1e-8):
-        if self.ladder is not None:
-            return self._ladder_count(eigenvalue)
-        return int(np.sum(np.abs(self.eigenvalues() - eigenvalue) < tol))
-
-    def geometric_multiplicity(self, eigenvalue, tol=None):
-        if self.ladder is not None:
-            return self._ladder_count(eigenvalue)
-        return svd_nullity(self.entries, eigenvalue, tol)
+    # diagonalisable: both multiplicities are the layer dimension
+    geometric_multiplicity = algebraic_multiplicity
 
 
 def svd_nullity(entries, eigenvalue, tol=None):

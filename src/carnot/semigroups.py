@@ -32,6 +32,7 @@ from .kernels import (
     invert_checked,
     invert_to_grid,
     mehler_area,
+    perturbed_slice,
 )
 from .levy import LevyExponent
 from .polynomials import (
@@ -250,9 +251,8 @@ def euclidean_levy_ou_apply(psi, t, f_hat, v_points, reflected=False):
     if psi is not None and psi.m != 1:
         raise UnsupportedOperationError("vertical transport implemented for m = 1")
     scale = (1.0 if reflected else -1.0) * math.exp(-2 * t)
-    v = math.exp(-2 * t) * np.asarray(v_points, dtype=float)
-    return invert_checked(lambda lam: (f_hat(lam) * _deformed(psi, t, scale * lam), None),
-                          lambda lam: np.abs(f_hat(lam)), v)[0]
+    return convolve_fourier(f_hat, lambda lam: _deformed(psi, t, scale * lam),
+                            math.exp(-2 * t) * np.asarray(v_points, dtype=float))
 
 
 def convolve_fourier(f_hat, mult, v_points):
@@ -281,7 +281,7 @@ def ou_apply_vertical(G, psi, t, f_hat, H, V):
     and the class nearest the origin is the self-check's probe row.
     """
     s = (1.0 - math.exp(-2.0 * t)) / 2.0
-    profile = _HatProfile(heat_slice(G, s))
+    profile = _HatProfile(G, s)
     zsq, _, inverse = profile.classes(np.atleast_2d(H))
     hsq = zsq * math.exp(-2.0 * t)
 
@@ -467,7 +467,7 @@ def _lambda_residual(G, psi, t, test, tol):
     v_targets = np.linspace(-1.5, 1.5, 7)
 
     # left side: P^psi_t (Lambda f), with (Lambda f)^hat = f_hat * sech(lam/2)
-    eta = _HatProfile(heat_slice(G, 0.5)).eta
+    eta = _HatProfile(G, 0.5).eta
     lhs = euclidean_levy_ou_apply(
         psi, t,
         lambda lam: f_hat(lam) * mehler_area(eta(lam), 0.5)[0],
@@ -509,11 +509,7 @@ def _tbk_residual(psi, t, test, tol):
     # rhs: T (P^psi_t f) -- full vertical flow in real space, then convolution
     def pf_hat(lam):
         # Fourier transform of P^psi_t f: e^{2t} f_hat(e^{2t} lam) e^{psi_t(-lam)}
-        return (
-            math.exp(2 * t)
-            * f_hat(math.exp(2 * t) * lam)
-            * np.exp(np.asarray(psi.psi_t(t, -lam), dtype=complex))
-        )
+        return math.exp(2 * t) * f_hat(math.exp(2 * t) * lam) * _deformed(psi, t, -lam)
 
     rhs = convolve_fourier(pf_hat, h_mult, v_targets)
     res = float(np.max(np.abs(lhs - rhs)))
@@ -539,9 +535,7 @@ def _mbeta_residual(G, psi, t, rng, tol):
         nu = rng.normal(size=fr.k)
         beta = tuple(int(b) for b in rng.integers(0, 4, size=fr.d))
         coeff = complex(rng.normal(), rng.normal())
-        scale = 1.0
-        if psi is not None and not psi.is_trivial:
-            scale = np.exp(t * complex(psi.psi(lam)))
+        scale = complex(perturbed_slice(G, psi, t).multiplier(lam))
         diag = oscillator_semigroup_diag(fr, nu, t, int(max(beta)) if beta else 0)
         lhs = coeff * scale * diag[beta]
         rhs = coeff * scale * math.exp(

@@ -15,19 +15,12 @@ import numpy as np
 from ._quadrature import gauss_legendre
 from .errors import UnsupportedOperationError
 from .groups import heisenberg
-from .kernels import (
-    group_convolve,
-    heat_slice,
-    invariant_slice,
-    invert_to_grid,
-    perturbed_slice,
-    vertical_charfn,
-)
+from .kernels import group_convolve, heat_slice, invert_to_grid, perturbed_slice, vertical_charfn
 from .levy import CompoundPoisson, LevyExponent, NormalDist
 from .polynomials import generator_matrix, homogeneous_dimension_counts
 from .semigroups import coeigen_residual, intertwine_residual, nonnormality_witness
 from .simulate import PathConfig, estimate_charfn, simulate_levy_ou, simulate_levy_on_group
-from .spectral import frame_at, harmonic_eigenvalue, spectrum_of_generator
+from .spectral import frame_at, spectrum_of_generator
 
 __all__ = ["CheckResult", "run_check", "CHECKS", "default_exponents"]
 
@@ -75,9 +68,8 @@ def default_exponents(m=1):
 def check_eigenvalue_ladder(G=None, cap=4, tol=1e-10):
     """Generator spectrum on polynomials: eigenvalues 0..-cap with the
 
-    homogeneous-layer dimensions as multiplicities.  The spectrum is read
-    from the matrix's exact block structure (``method: structure``), or
-    from a float eigensolver and SVD where that structure fails.
+    homogeneous-layer dimensions as multiplicities, read from the matrix's
+    exact block structure (:attr:`~carnot.polynomials.GeneratorMatrix.ladder`).
     """
     G = G or heisenberg(1)
     gm = generator_matrix(G, None, cap)
@@ -89,22 +81,21 @@ def check_eigenvalue_ladder(G=None, cap=4, tol=1e-10):
     geo = [gm.geometric_multiplicity(-float(k)) for k in range(cap + 1)]
     return CheckResult(
         "eigenvalue-ladder", err < tol and imag < tol and geo == counts,
-        {"method": gm.method, "max_eig_err": err, "multiplicities": counts},
+        {"max_eig_err": err, "multiplicities": counts},
     )
 
 
 def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
     """Eigenvalue multisets and both multiplicities do not depend on the
 
-    vertical perturbation.  Multiplicities are compared exactly; the
-    eigenvalue residual is exactly 0 when every matrix carries the
-    ladder structure (``method: structure``).
+    vertical perturbation.  Multiplicities are compared exactly; every
+    matrix carries the ladder structure, so the eigenvalue residual is
+    exactly 0.
     """
     G = G or heisenberg(1)
     exps = exponents or default_exponents(G.m)
     reference = None
     detail = {}
-    methods = set()
     residual = 0.0
     ok = True
     for name, psi in exps.items():
@@ -113,7 +104,6 @@ def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
         except UnsupportedOperationError as exc:
             detail[f"skipped_{name}"] = str(exc)
             continue
-        methods.add(gm.method)
         eigs = np.sort(gm.eigenvalues().real)
         alg = [gm.algebraic_multiplicity(-float(k)) for k in range(cap + 1)]
         geo = [gm.geometric_multiplicity(-float(k)) for k in range(cap + 1)]
@@ -123,8 +113,7 @@ def check_isospectrality(G=None, cap=4, tol=1e-8, exponents=None):
         else:
             residual = max(residual, float(np.max(np.abs(eigs - reference[0]))))
             ok &= alg == reference[1] and geo == reference[2]
-    if methods:
-        detail["method"] = "svd" if "svd" in methods else "structure"
+    if reference is not None:
         detail["residual"] = residual
     return CheckResult("isospectrality", ok and residual < tol, detail)
 
@@ -177,9 +166,8 @@ def check_marginal(G=None, t=0.5, tol=1e-5, exponents=None):
     worst = 0.0
     metas = []
     for name, psi in exps.items():
-        sl = heat_slice(G, t) if psi is None else perturbed_slice(G, psi, t)
         v = _vertical_window(psi, t)
-        grid = invert_to_grid(sl, h_axes + [v], calibrate=False)
+        grid = invert_to_grid(perturbed_slice(G, psi, t), h_axes + [v], calibrate=False)
         metas.append(grid.meta)
         marg = np.trapezoid(grid.values, v, axis=-1)
         err = float(np.max(np.abs(marg - euclid)))

@@ -344,7 +344,6 @@ def test_ladder_checks_are_exact(spec, check):
     G = free_step2(3) if spec == "free2(3)" else _builtin_group(spec)
     result = run_check(check, G=G)
     assert result.passed and not result.skipped
-    assert result.detail["method"] == "structure"
     residual = "max_eig_err" if check == "eigen" else "residual"
     assert result.detail[residual] == 0.0
 

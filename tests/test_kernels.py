@@ -6,7 +6,7 @@ import pytest
 from carnot.errors import AccuracyError, DegenerateFrameError, UnsupportedOperationError
 from carnot._quadrature import (composite_gl_edges, gauss_legendre, half_line_rule,
                                 oscillatory_rule)
-from carnot.groups import CarnotGroup, free_step2, h_type, heisenberg
+from carnot.groups import CarnotGroup, free_step2, h_type, heisenberg, nonisotropic_heisenberg
 from carnot import kernels, semigroups
 from carnot.kernels import (
     DensityGrid,
@@ -27,6 +27,7 @@ from carnot.kernels import (
     vertical_charfn,
 )
 from carnot.levy import AtomJumps, CompoundPoisson, LevyExponent, NormalDist, StableJumps
+from carnot.spectral import frame_at
 
 H1 = heisenberg(1)
 PSI_GAUSS = LevyExponent(sigma=[[1.0]])
@@ -321,9 +322,35 @@ def test_half_line_inversion_matches_two_sided_complex(caller, monkeypatch):
     assert imag and max(imag) < 1e-13
 
 
+@pytest.mark.parametrize("gname", ["h1", "h2", "nonisotropic(1,2.5)"])
+@pytest.mark.parametrize("kind", ["heat", "perturbed-skew", "invariant-skew",
+                                  "perturbed-stable0.7"])
+def test_grid_profile_inverts_the_slice_hat(gname, kind):
+    # the grid inverts _HatProfile.values times the slice multiplier; at the
+    # plane radii of a horizontal point that product is the hat `kernel hat`
+    # prints (k = 0, so the radical factor is 1)
+    G = {"h1": H1, "h2": heisenberg(2),
+         "nonisotropic(1,2.5)": nonisotropic_heisenberg([1, 2.5])}[gname]
+    sl = {"heat": lambda: heat_slice(G, 0.6),
+          "perturbed-skew": lambda: perturbed_slice(G, PSI_SKEW, 0.6),
+          "invariant-skew": lambda: invariant_slice(G, PSI_SKEW),
+          "perturbed-stable0.7": lambda: perturbed_slice(
+              G, LevyExponent(jumps=StableJumps(0.7), m=1), 0.6)}[kind]()
+    profile = _HatProfile(G, sl.t)
+    rng = np.random.default_rng(41)
+    for lam in (0.3, -1.7, 2.2):
+        h = rng.normal(size=(1, G.n))
+        zsq, rsq = profile.planes(h)
+        lam_batch = np.array([[lam]])
+        got = profile.values(zsq, rsq, lam_batch)[0, 0] * sl.multiplier(lam_batch)[0]
+        F = frame_at(G, [lam]).frame
+        want = sl.hat(F.T[: 2 * G.d] @ h[0], [lam])
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_invert_to_grid_records_lambda_rule():
     grid = invert_to_grid(heat_slice(H1, 0.6), _grid_axes())
-    lam, w, cutoff = half_line_rule(_HatProfile(heat_slice(H1, 0.6)).bound, 3.0)
+    lam, w, cutoff = half_line_rule(_HatProfile(H1, 0.6).bound, 3.0)
     assert grid.meta["lam_nodes"] == len(lam) and grid.meta["lam_cutoff"] == cutoff
     # the half rule: nodes inside (0, cutoff), weights summing to its length
     assert 0.0 < lam.min() and lam.max() < cutoff
@@ -390,8 +417,8 @@ def test_cutoff_is_the_bisection_root(bound):
     # the cutoff solves bound(lam) = 1e-12 bound(0+) for these decreasing bounds
     from scipy.optimize import brentq
 
-    fn = {"heat-0.5": _HatProfile(heat_slice(H1, 0.5)).bound,
-          "heat-1": _HatProfile(heat_slice(H1, 1.0)).bound,
+    fn = {"heat-0.5": _HatProfile(H1, 0.5).bound,
+          "heat-1": _HatProfile(H1, 1.0).bound,
           "gaussian": lambda lam: np.sqrt(math.pi) * np.exp(-lam**2 / 4)}[bound]
     level = 1e-12 * fn(np.array([2.0**-20]))[0]
     root = brentq(lambda x: fn(np.array([x]))[0] - level, 1.0, 1e3, xtol=1e-12)

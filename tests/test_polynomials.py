@@ -167,7 +167,6 @@ def test_isospectrality_with_multiplicities():
     expect = {0: 1, -1: 2, -2: 4, -3: 6, -4: 9}
     for psi in psis:
         gm = generator_matrix(H1, psi, cap)
-        assert gm.method == "structure"
         eigs = np.linalg.eigvals(gm.entries)
         counted = {-j: int(np.sum(np.abs(eigs + j) < 1e-8)) for j in range(cap + 1)}
         alg = {-j: gm.algebraic_multiplicity(-float(j)) for j in range(cap + 1)}
@@ -247,25 +246,26 @@ def test_generator_matrix_matches_field_square_assembly(gname, psi_name, cap):
 def test_ladder_certificate_matches_svd(gname, psi_name, cap):
     G = GROUPS[gname]
     gm = generator_matrix(G, default_exponents(G.m)[psi_name], cap)
-    assert gm.method == "structure"
     assert gm.ladder == homogeneous_dimension_counts(G.n, G.m, cap)
     for k in range(cap + 1):
         assert gm.geometric_multiplicity(-float(k)) == svd_nullity(gm.entries, -float(k))
     assert gm.geometric_multiplicity(0.5) == gm.algebraic_multiplicity(-float(cap + 1)) == 0
 
 
-def test_ladder_certificate_falls_back_to_svd():
-    # h1 d/dh2 maps h2 to h1 inside the degree-1 block: a Jordan block at -1
+def test_ladder_certificate_raises_without_structure():
+    # h1 d/dh2 maps h2 to h1 inside the degree-1 block: a Jordan block at -1,
+    # where layer dimensions are not the multiplicities (geometric 1 of 2)
     def op(p):
         return dilation_generator(p) + p.diff_h(1).mul_h(0)
 
     basis, mat = operator_matrix(op, 2, 1, 2)
     gm = GeneratorMatrix(basis=basis, entries=mat, degree_cap=2, nh=2, mv=1)
-    assert gm.ladder is None and gm.method == "svd"
-    assert gm.algebraic_multiplicity(-1.0) == 2
-    assert gm.geometric_multiplicity(-1.0) == 1
-    # on degree 2 it chains h2^2 -> h2 h1 -> h1^2; the kernel is h1^2 and v
-    assert gm.geometric_multiplicity(-2.0) == 2
+    assert svd_nullity(mat, -1.0) == 1
+    for read in (lambda: gm.ladder, gm.eigenvalues,
+                 lambda: gm.algebraic_multiplicity(-1.0),
+                 lambda: gm.geometric_multiplicity(-1.0)):
+        with pytest.raises(ArithmeticError, match="ladder structure"):
+            read()
 
 
 def test_stable_jumps_rejected():
