@@ -134,9 +134,6 @@ class CarnotGroup:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self):
-        return {"n": self.n, "m": self.m, "A": self.A.tolist(), "label": self.label}
-
     @classmethod
     def from_dict(cls, data):
         try:

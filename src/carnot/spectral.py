@@ -8,11 +8,18 @@ For generic ``lam`` the pencil has eigenvalues ``+/- i eta_j(lam)`` with
 
 These data drive every kernel formula: the oscillator eigenvalues are
 ``n(beta, lam, nu) = sum_j (2 beta_j + 1) eta_j(lam) + |nu|^2``.
+
+The pencil is linear in ``lam``, so the frame depends only on the direction
+``u = lam/|lam|`` and the spectrum is homogeneous: ``eta(c lam) = c eta(lam)``
+for ``c > 0``.  :func:`frame_at` reads the frame of ``u`` from a bounded memo
+per group instance and direction, and scales its spectrum by ``|lam|``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,12 +38,13 @@ class SpectralFrame:
     frame: np.ndarray         # columns X_1..X_d, Y_1..Y_d, R_1..R_k
     rank: int
     degenerate: bool
+    generic_rank: int         # the group's, which ``rank`` falls short of when degenerate
 
     def require_generic(self):
         if self.degenerate:
             raise DegenerateFrameError(
                 f"lambda={self.lam.tolist()} sits outside the generic stratum "
-                f"(rank {self.rank} < generic {self.rank + 2 * 0})",
+                f"(rank {self.rank} < generic {self.generic_rank})",
                 rank=self.rank,
             )
         return self
@@ -51,12 +59,32 @@ class SpectralFrame:
 
 
 def frame_at(G: CarnotGroup, lam) -> SpectralFrame:
-    """Spectral frame of ``Omega(lam)``; flags ``lam`` outside the generic stratum."""
+    """Spectral frame of ``Omega(lam)``; flags ``lam`` outside the generic stratum.
+
+    The frame, rank and stratum are those of the direction ``u = lam/|lam|``
+    (:func:`_unit_frame`, memoised and read-only); ``eta = |lam| eta(u)``.
+    """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (G.m,):
         raise ValueError(f"lambda must have length {G.m}")
-    if np.all(lam == 0.0):
+    norm = math.hypot(*lam)             # no overflow before |lam| itself does
+    if not math.isfinite(norm):
+        raise ValueError(f"lambda must be finite, with a finite norm: {lam.tolist()}")
+    if norm == 0.0:
         raise ValueError("lambda must be nonzero")
+    unit = _unit_frame(G, tuple((lam / norm).tolist()))
+    eta = norm * unit.eta
+    pf = math.prod(eta.tolist()) if unit.d else 0.0
+    return replace(unit, lam=lam, eta=eta, pf=pf)
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_frame(G: CarnotGroup, direction) -> SpectralFrame:
+    """Frame of ``Omega(u)`` at the unit direction ``u`` (the tuple ``direction``),
+
+    with read-only arrays: every frame of the ray ``c u``, ``c > 0``, shares them.
+    """
+    lam = np.array(direction)
     omega = G.omega_matrix(lam)
 
     # Hermitian reduction: i*Omega has real eigenvalues -eta, 0, +eta.
@@ -93,10 +121,11 @@ def frame_at(G: CarnotGroup, lam) -> SpectralFrame:
     frame = np.column_stack(cols) if cols else np.zeros((G.n, 0))
     frame = _pairwise_orthonormalize(frame)
 
-    pf = float(np.prod(eta)) if d else 0.0
-    return SpectralFrame(
-        lam=lam, eta=eta, pf=pf, d=d, k=k, frame=frame, rank=rank, degenerate=degenerate
-    )
+    for arr in (lam, eta, frame):
+        arr.flags.writeable = False
+    pf = math.prod(eta.tolist()) if d else 0.0
+    return SpectralFrame(lam=lam, eta=eta, pf=pf, d=d, k=k, frame=frame, rank=rank,
+                         degenerate=degenerate, generic_rank=G.generic_rank)
 
 
 def _pairwise_orthonormalize(frame):

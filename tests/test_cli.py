@@ -34,6 +34,15 @@ def test_group_describe_golden(runner):
         assert sample["eta"][0] == pytest.approx(abs(sample["lambda"][0]), rel=1e-10)
 
 
+def test_group_describe_eta_is_norm_on_h_type(runner):
+    # H-type groups: eta_j(lam) = |lam|, exactly on h1
+    for spec, rtol in (("h1", 0.0), ("quaternionic", 1e-12)):
+        data = json.loads(invoke(runner, ["group", "describe", "--spec", f"builtin:{spec}"]).output)
+        for sample in data["eta_samples"]:
+            norm = float(np.linalg.norm(sample["lambda"]))
+            np.testing.assert_allclose(sample["eta"], norm, rtol=rtol, atol=0.0)
+
+
 def test_group_describe_rejects_bad_matrix(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "m": 1, "A": [[[0.0, 1.0], [1.0, 0.0]]]}))
