@@ -1,6 +1,7 @@
-"""Gauss-Legendre rules, the one half-line rule of every vertical inversion
+"""Gauss-Legendre and extended Simpson rules, the one half-line rule of
 
-and the one refinement self-check of the package's quadratures.
+every vertical inversion and the one refinement self-check of the
+package's quadratures.
 """
 
 import math
@@ -26,6 +27,20 @@ def gauss_legendre(a, b, n=64):
     x, w = _gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def extended_simpson(a, b, n):
+    """Nodes ``linspace(a, b, n)``, ``n >= 3``, and the weights of the extended
+
+    Simpson rule on them: the trapezoid weights with the end corrections that
+    make it exact on cubics, ``h (3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8)``.
+    """
+    x, h = np.linspace(a, b, n, retstep=True)
+    w = np.full(n, h)
+    for i, c in enumerate((-5 / 8, 1 / 6, -1 / 24)):
+        w[i] += c * h
+        w[-1 - i] += c * h
+    return x, w
 
 
 def composite_gl_edges(edges, nodes_per_panel=16):

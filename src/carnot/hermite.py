@@ -11,13 +11,14 @@ orthonormal (the Rodrigues form divided by k!).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_laguerre
 
-from ._quadrature import gauss_legendre, refinement_error
+from ._quadrature import extended_simpson, gauss_legendre, refinement_error
 from .errors import UnsupportedOperationError
 from .spectral import SpectralFrame, harmonic_eigenvalue
 
@@ -27,7 +28,6 @@ __all__ = [
     "laguerre_transform",
     "WeylMatrix",
     "weyl_matrix",
-    "gft_matrix",
     "oscillator_semigroup_diag",
     "hs_norm_closed_form",
 ]
@@ -89,24 +89,33 @@ def laguerre_phi(frame: SpectralFrame, beta, z):
     return val
 
 
-def laguerre_transform(frame: SpectralFrame, profile, beta_max, quad_nodes=400, u_cap=None):
-    """Radial Laguerre coefficients of a rotation-invariant profile.
+def laguerre_transform(frame: SpectralFrame, profile, beta_max, quad_nodes=400, u_cap=None,
+                       scale=None):
+    """Radial Laguerre coefficients of a rotation-invariant profile (d = 1).
 
-    ``profile(zsq)`` takes the vector of per-plane squared radii.  Returns
-    the array ``R[beta]`` over the tensor range ``beta_j <= beta_max`` for
-    d = 1 (the only case needed at desk scale: higher d multiplies ranges).
+    ``profile(zsq)`` takes an ``(N, 1)`` array of squared radii.  Returns
+    ``R[beta]``, ``beta <= beta_max``, at the frame's frequency.  With
+    ``scale`` (ray factors ``c > 0``) it returns one row per frequency
+    ``c lam`` of the frame's ray, where ``eta = c eta(lam)``: the Laguerre
+    table on the shared u rule is computed once, for the largest cap, and
+    every row is one product with it.  ``beta_max`` is then one cap or one
+    per frequency, and each row is zero past its own cap.
     """
     if frame.d != 1:
         raise UnsupportedOperationError("radial transform implemented for d = 1")
-    eta = frame.eta[0]
-    cap = u_cap if u_cap is not None else 60.0
+    c = np.atleast_1d(np.asarray(1.0 if scale is None else scale, dtype=float))
+    if c.ndim != 1 or not np.all(c > 0):
+        raise ValueError("scale must be a vector of positive ray factors")
+    caps = np.broadcast_to(np.asarray(beta_max, dtype=int), c.shape)
+    eta = c * frame.eta[0]
     # integrate over u = eta |z|^2 / 2: dz = (2 pi / eta) du
-    u, w = gauss_legendre(0.0, cap, quad_nodes)
-    vals = profile(2.0 * u[:, None] / eta)
-    lag = _laguerre_all(beta_max, u)
-    weights = w * np.exp(-0.5 * u) * (2 * math.pi / eta)
-    pref = math.sqrt(frame.pf) * (2 * math.pi) ** -0.5
-    return pref * lag @ (weights * vals[:, 0] if vals.ndim > 1 else weights * vals)
+    u, w = gauss_legendre(0.0, u_cap if u_cap is not None else 60.0, quad_nodes)
+    vals = np.reshape(profile((2.0 * u / eta[:, None]).reshape(-1, 1)), (c.size, u.size))
+    weights = w * np.exp(-0.5 * u) * (2 * math.pi / eta[:, None])
+    pref = np.sqrt(c * frame.pf) * (2 * math.pi) ** -0.5
+    R = pref[:, None] * ((weights * vals) @ _laguerre_all(int(caps.max()), u).T)
+    R[np.arange(R.shape[1]) > caps[:, None]] = 0.0
+    return R[0] if scale is None else R
 
 
 def _laguerre_all(nmax, u):
@@ -127,11 +136,17 @@ def _laguerre_all(nmax, u):
 
 @dataclass
 class WeylMatrix:
-    """Matrix elements ``<W(f) Phi_alpha, Phi_gamma>`` below a cap (d = 1)."""
+    """Matrix elements ``<W(f) Phi_alpha, Phi_gamma>`` below a cap (d = 1),
+
+    from the rule of ``2 quad_points`` lattice nodes per axis; ``quad_err`` is
+    the largest change of an element from the rule of ``quad_points``.
+    """
 
     frame: SpectralFrame
     size: int
     entries: np.ndarray  # (size+1, size+1), complex; [gamma, alpha]
+    quad_points: int
+    quad_err: float
 
     def hs_norm_sq(self):
         return float(np.sum(np.abs(self.entries) ** 2))
@@ -144,49 +159,81 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=
 
         (W(f) phi)(xi) = int f(x, y) exp(i eta y (xi + x/2)) phi(xi + x) dx dy,
 
-    and matrix elements are evaluated against the scaled Hermite basis by
-    tensor Gauss-Legendre quadrature.  Doubling the node count must move no
+    with kernel ``K(xi, zeta) = int f(zeta - xi, y) e^{i eta y (xi + zeta)/2} dy``.
+    Matrix elements against the scaled Hermite basis are sums by the
+    extended Simpson rule (:func:`~carnot._quadrature.extended_simpson`) on
+    the lattice ``linspace(-L, L, N)`` in xi, zeta and y, ``L = extent`` or
+    ``8 / sqrt(min(eta, 1))``.  There ``zeta_b - xi_a = (b - a) h`` and
+    ``xi_a + zeta_b = -2 L + (a + b) h``: each rule calls ``f`` once, on the
+    ``(2N - 1) x N`` difference lattice, and K is one matmul of that table
+    against the phase table in ``(y, a + b)``, split by the parity that
+    ``b - a`` and ``a + b`` share.  Doubling ``quad_points`` must move no
     element by more than ``tol`` (``refinement_error``).
     """
+    _require_weyl_input(size, quad_points, extent, tol)
     if frame.d != 1:
         raise UnsupportedOperationError("Weyl matrices implemented for d = 1")
     frame.require_generic()
+    eta = frame.eta[0]
+    L = extent if extent is not None else 8.0 / math.sqrt(min(eta, 1.0))
 
     def assemble(npts):
-        eta = frame.eta[0]
-        L = extent if extent is not None else 8.0 / math.sqrt(min(eta, 1.0))
-        xi, wxi = gauss_legendre(-L, L, npts)
-        y, wy = gauss_legendre(-L, L, npts)
-        # kernel K(xi, zeta) = int f(zeta - xi, y) e^{i eta y (xi + zeta)/2} dy; the
-        # phase factors as e[xi, y] e[zeta, y], so each row is one product
-        e = np.exp(0.5j * eta * np.outer(xi, y))
-        ew = e * wy
-        K = np.empty((npts, npts), dtype=complex)
-        for a in range(npts):
-            K[a] = (f((xi - xi[a])[:, None], y[None, :]) * ew) @ e[a]
+        x, w, cos, sin, gather = _lattice_tables(eta, L, npts)
+        h = 2.0 * L / (npts - 1)
+        # f((b - a) h, y_j) w_j at row b - a + npts - 1 of one table
+        fw = np.broadcast_to(f(h * np.arange(1 - npts, npts)[:, None], x[None, :]),
+                             (2 * npts - 1, npts)) * w
+        blocks = [fw[p::2] @ cos[:, q::2] + 1j * (fw[p::2] @ sin[:, q::2])
+                  for p, q in ((0, (npts - 1) % 2), (1, npts % 2))]
+        K = np.concatenate([blk.ravel() for blk in blocks])[gather]
         # project onto the scaled Hermite basis: rows Phi^lam_n at the nodes
-        s = math.sqrt(eta)
-        BW = abs(frame.pf) ** 0.25 * hermite_phi_all(size, s * xi) * wxi[None, :]
+        BW = abs(frame.pf) ** 0.25 * hermite_phi_all(size, math.sqrt(eta) * x) * w
         # entries[gamma, alpha] = <W(f) Phi_alpha, Phi_gamma>
         return BW @ K @ BW.T
 
     second = assemble(2 * quad_points)
-    refinement_error(assemble(quad_points), second, 1.0, tol,
-                     f"Weyl quadrature of {quad_points}^2 nodes")
-    return WeylMatrix(frame=frame, size=size, entries=second)
+    err = refinement_error(assemble(quad_points), second, 1.0, tol,
+                           f"Weyl quadrature of {quad_points}^2 nodes")
+    return WeylMatrix(frame=frame, size=size, entries=second, quad_points=quad_points,
+                      quad_err=err)
 
 
-def gft_matrix(frame: SpectralFrame, f_plane, f_hat_vertical, lam, nu, size, **kw):
-    """Group Fourier transform matrix of a separable function.
+@functools.lru_cache(maxsize=8)
+def _lattice_tables(eta, L, npts):
+    """The f-independent tables of :func:`weyl_matrix` on ``npts`` nodes, read-only:
 
-    ``f = f_plane(z) * f_vertical(r, v)`` with ``f_hat_vertical(lam, nu)``
-    the Euclidean Fourier transform of the vertical profile; the result is
-    the Weyl matrix of the partial transform ``f_hat_vertical(lam, nu) *
-    f_plane``.
+    nodes and weights, the phase ``eta y_j (xi_a + zeta_b) / 2`` of column
+    ``a + b`` as cosine and sine tables, and the flat position of ``K[a, b]``
+    in the two parity blocks stacked (rows ``b - a + npts - 1`` of parity p
+    against columns ``a + b`` of parity ``(p + npts - 1) % 2``).
     """
-    scalar = complex(f_hat_vertical(lam, nu))
-    wm = weyl_matrix(frame, f_plane, size, **kw)
-    return WeylMatrix(frame=frame, size=size, entries=scalar * wm.entries)
+    x, w = extended_simpson(-L, L, npts)
+    angle = 0.5 * eta * np.outer(x, 2.0 * L / (npts - 1) * np.arange(2 * npts - 1) - 2 * L)
+    idx = np.arange(npts)
+    row = npts - 1 - np.subtract.outer(idx, idx)
+    col = np.add.outer(idx, idx)
+    cols_even = npts - (npts - 1) % 2          # columns of the parity-0 block
+    gather = np.where(row % 2 == 0, (row // 2) * cols_even + col // 2,
+                      npts * cols_even + (row // 2) * (2 * npts - 1 - cols_even) + col // 2)
+    tables = (x, w, np.cos(angle), np.sin(angle), gather)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _require_weyl_input(size, quad_points, extent, tol):
+    """ValueError unless ``0 <= size <= N_CAP``, ``quad_points >= 3`` (integers)
+
+    and ``extent`` (unless None) and ``tol`` are finite and positive.
+    """
+    for name, val, lo in (("size", size, 0), ("quad_points", quad_points, 3)):
+        if not isinstance(val, (int, np.integer)) or val < lo:
+            raise ValueError(f"{name} must be an integer >= {lo}, got {val!r}")
+    if size > N_CAP:
+        raise ValueError(f"size {size} exceeds the Hermite stability cap {N_CAP}")
+    for name, val in (("extent", 1.0 if extent is None else extent), ("tol", tol)):
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be finite and positive, got {val!r}")
 
 
 def oscillator_semigroup_diag(frame: SpectralFrame, nu, t, size):

@@ -307,7 +307,7 @@ def check_weyl_isometry(G=None, tol=1e-5, seed=40):
     G = G or heisenberg(1)
     fr = frame_at(G, np.ones(G.m))
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = quad_err = 0.0
     for _ in range(3):
         a = float(rng.uniform(0.35, 0.8))
         b = float(rng.uniform(0.35, 0.8))
@@ -316,8 +316,10 @@ def check_weyl_isometry(G=None, tol=1e-5, seed=40):
         lhs = fr.pf * wm.hs_norm_sq() / (2 * math.pi)
         rhs = math.pi / (2.0 * math.sqrt(a * b))
         worst = max(worst, abs(lhs - rhs) / rhs)
+        quad_err = max(quad_err, wm.quad_err)
     return CheckResult("weyl-isometry", worst < tol,
-                       {"max_rel_err": worst, "tol": tol, "seed": seed})
+                       {"max_rel_err": worst, "tol": tol, "seed": seed,
+                        "quad_points": wm.quad_points, "quad_err": quad_err})
 
 
 def check_plancherel(G=None, tol=1e-3):
@@ -327,44 +329,48 @@ def check_plancherel(G=None, tol=1e-3):
     group transform integrates, against the Plancherel weight
     ``Pf(lam) / (2 pi)^(d+k+m)``, to the squared norm of f.  The transform
     norm per frequency is assembled from the radial Laguerre coefficients:
-    numerically (recurrence plus quadrature) on the bulk of frequencies and
-    by the validated geometric closed form where thousands of modes would
-    be needed.
+    numerically on the bulk of frequencies and by the validated geometric
+    closed form where thousands of modes would be needed.  The numerical
+    frequencies, and the cross-check node lam = 0.5, lie on the ray of
+    ``lam = 1``: one :func:`~carnot.hermite.laguerre_transform` call gives
+    all of them from one Laguerre table, each truncated at its own cap.
     """
-    from .hermite import laguerre_transform
+    from . import hermite
 
     G = G or heisenberg(1)
     a = 0.5
     fr1 = frame_at(G, np.ones(G.m))
     eta_unit = fr1.eta[0]
 
-    def s_closed(eta):
-        c = 0.5 + 2.0 * a / eta
+    def ratio(eta):
         # geometric series sum_k R_k^2 with R_k = sqrt(2 pi/eta) (c-1)^k / c^{k+1}
-        ratio = ((c - 1.0) / c) ** 2
-        return (2 * math.pi / eta) / (c * c) / (1.0 - ratio)
-
-    def s_numeric(eta):
         c = 0.5 + 2.0 * a / eta
-        ratio = ((c - 1.0) / c) ** 2
-        ncap = max(16, int(math.log(1e-12) / math.log(ratio)) + 8)
-        fr = frame_at(G, np.full(G.m, eta / eta_unit))
-        R = laguerre_transform(fr, lambda zsq: np.exp(-a * zsq[:, 0]), ncap,
-                               quad_nodes=300, u_cap=90.0)
-        return float(np.sum(R**2))
+        return c, ((c - 1.0) / c) ** 2
+
+    def s_closed(eta):
+        c, r = ratio(eta)
+        return (2 * math.pi / eta) / (c * c) / (1.0 - r)
 
     lam, w = gauss_legendre(1e-4, 12.0, 160)
-    S = np.array([s_numeric(l * eta_unit) if l >= 0.3 else s_closed(l * eta_unit)
-                  for l in lam])
+    numeric = lam >= 0.3
+    ray = np.append(lam[numeric], 0.5)
+    caps = [max(16, int(math.log(1e-12) / math.log(ratio(l * eta_unit)[1])) + 8) for l in ray]
+    R = hermite.laguerre_transform(fr1, lambda zsq: np.exp(-a * zsq[:, 0]), caps,
+                                   quad_nodes=300, u_cap=90.0, scale=ray)
+    S_numeric = np.sum(R**2, axis=1)
+    S = np.empty(lam.size)
+    S[numeric] = S_numeric[:-1]
+    S[~numeric] = [s_closed(l * eta_unit) for l in lam[~numeric]]
     # spectral side: (2 pi)^{-1} int |ghat|^2 S dlam, |ghat|^2 = 2 pi e^{-lam^2}
     spectral = 2.0 * float(np.sum(w * S * np.exp(-(lam**2))))
     direct = (math.pi / (2 * a)) * math.sqrt(math.pi)
     rel = abs(spectral - direct) / direct
     # validate the closed form against the numerical coefficients once
-    cross = abs(s_numeric(0.5 * eta_unit) - s_closed(0.5 * eta_unit))
+    cross = abs(S_numeric[-1] - s_closed(0.5 * eta_unit))
     return CheckResult(
         "plancherel", rel < tol and cross < 1e-9,
-        {"rel_err": rel, "closed_form_cross_check": cross, "tol": tol},
+        {"rel_err": rel, "closed_form_cross_check": cross, "tol": tol,
+         "lam_nodes": lam.size, "laguerre_cap": max(caps)},
     )
 
 

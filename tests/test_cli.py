@@ -307,6 +307,15 @@ def test_unsupported_parts_are_skipped_with_reason(spec, check):
         assert {f"{name}:pi:h1" for name in ("none", "gaussian", "cp")} <= set(result.detail)
 
 
+@pytest.mark.parametrize("spec", ["h2", "quaternionic"])
+@pytest.mark.parametrize("check", ["weyl", "plancherel"])
+def test_fourier_checks_skip_off_one_oscillator_plane(spec, check):
+    # Weyl matrices and the radial transform are implemented for d = 1 only
+    result = run_check(check, G=_builtin_group(spec))
+    assert result.passed and result.skipped
+    assert "d = 1" in result.detail["skipped"]
+
+
 def test_intertwinings_keep_each_exponents_residual():
     # one key per exponent and relation: cp does not overwrite gaussian
     result = run_check("intertwine", G=_builtin_group("h1"))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carnot._quadrature import gauss_legendre
+from carnot._quadrature import extended_simpson, gauss_legendre
 from carnot.errors import AccuracyError
 from carnot.groups import heisenberg
 from carnot.hermite import (
@@ -17,6 +17,7 @@ from carnot.hermite import (
 )
 from carnot.kernels import heat_hat
 from carnot.spectral import frame_at
+from carnot.verify import check_plancherel, check_weyl_isometry
 
 G = heisenberg(1)
 FR = frame_at(G, [1.0])
@@ -77,6 +78,35 @@ def test_laguerre_transform_closed_form():
     assert np.max(np.abs(R - expect)) < 1e-10
 
 
+def test_batched_laguerre_transform_matches_one_call_per_frequency():
+    # every numerical frequency of the Plancherel check and its cross-check
+    # node, each at its own cap, from one Laguerre table
+    a = 0.5
+    profile = lambda zsq: np.exp(-a * zsq[:, 0])
+    lam, _ = gauss_legendre(1e-4, 12.0, 160)
+    ray = np.append(lam[lam >= 0.3], 0.5)
+    c = 0.5 + 2.0 * a / ray
+    caps = [max(16, int(math.log(1e-12) / math.log(r)) + 8) for r in ((c - 1.0) / c) ** 2]
+    batch = laguerre_transform(FR, profile, caps, quad_nodes=300, u_cap=90.0, scale=ray)
+    assert batch.shape == (ray.size, max(caps) + 1)
+    for row, l, cap in zip(batch, ray, caps):
+        one = laguerre_transform(frame_at(G, [l]), profile, cap, quad_nodes=300, u_cap=90.0)
+        assert np.max(np.abs(row[: cap + 1] - one)) <= 1e-14 * np.max(np.abs(one))
+        assert not np.any(row[cap + 1:])
+
+
+def test_fourier_checks_record_their_quadrature():
+    iso = check_weyl_isometry(G)
+    assert iso.detail["quad_points"] == 90 and 0.0 < iso.detail["quad_err"] <= 1e-6
+    plan = check_plancherel(G)
+    assert plan.detail["lam_nodes"] == 160 and plan.detail["laguerre_cap"] >= 16
+
+
+def test_laguerre_transform_rejects_off_ray_scales():
+    with pytest.raises(ValueError):
+        laguerre_transform(FR, lambda zsq: np.exp(-zsq[:, 0]), 4, scale=[1.0, -0.5])
+
+
 def test_weyl_of_ground_laguerre_mode():
     f0 = lambda x, y: laguerre_phi(FR, [0], np.stack(np.broadcast_arrays(x, y), axis=-1))
     wm = weyl_matrix(FR, f0, 6)
@@ -114,15 +144,24 @@ def test_weyl_isometry_random_gaussians():
         assert FR.pf * hs / (2 * math.pi) == pytest.approx(l2, rel=1e-5)
 
 
-def _einsum_weyl(frame, f, size, npts):
-    """The Weyl entries by the N^3 phase array and three-operand einsum that
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 90, 180])
+def test_extended_simpson_is_exact_on_cubics(n):
+    x, w = extended_simpson(-1.3, 2.1, n)
+    assert np.allclose(x, np.linspace(-1.3, 2.1, n), rtol=0, atol=0)
+    for k in range(4):
+        exact = (2.1 ** (k + 1) - (-1.3) ** (k + 1)) / (k + 1)
+        assert float(w @ x**k) == pytest.approx(exact, rel=1e-13)
 
-    the row-wise assembly replaced (same nodes and extent).
+
+def _einsum_weyl(frame, f, size, npts):
+    """The Weyl entries by the N^3 phase array and three-operand einsum, on
+
+    the lattice nodes and weights of ``weyl_matrix``'s finer rule.
     """
     eta = frame.eta[0]
     L = 8.0 / math.sqrt(min(eta, 1.0))
-    xi, wxi = gauss_legendre(-L, L, npts)
-    y, wy = gauss_legendre(-L, L, npts)
+    xi, wxi = extended_simpson(-L, L, npts)
+    y, wy = extended_simpson(-L, L, npts)
     XI, ZETA = np.meshgrid(xi, xi, indexing="ij")
     fvals = f((ZETA - XI)[:, :, None], y[None, None, :])
     phases = np.exp(1j * (0.5 * eta * (XI + ZETA))[:, :, None] * y[None, None, :])
@@ -138,6 +177,48 @@ def test_weyl_entries_match_the_einsum_assembly(lam):
     got = weyl_matrix(fr, f, 16, quad_points=60).entries
     ref = _einsum_weyl(fr, f, 16, 120)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_weyl_entries_of_a_complex_odd_function_match_the_triple_sum():
+    # eta = 0.6 < 1 widens the extent to 8 / sqrt(0.6); f is complex and neither
+    # even nor odd in x or y.  The oracle evaluates f at every (a, b, j) of the
+    # lattice, with no use of the difference or sum structure.
+    fr = frame_at(G, [0.6])
+    eta, size, npts = fr.eta[0], 12, 100
+    f = lambda x, y: np.exp(-0.4 * x**2 - 0.7 * y**2 + 0.2 * x) * (1.0 + 0.5j * x - 0.3 * y * x)
+    got = weyl_matrix(fr, f, size, quad_points=npts // 2).entries
+    x, w = extended_simpson(-8.0 / math.sqrt(eta), 8.0 / math.sqrt(eta), npts)
+    K = np.empty((npts, npts), dtype=complex)
+    for a in range(npts):
+        terms = f(x[:, None] - x[a], x[None, :]) * np.exp(0.5j * eta * x[None, :] * (x[a] + x[:, None]))
+        K[a] = terms @ w
+    BW = fr.pf ** 0.25 * hermite_phi_all(size, math.sqrt(eta) * x) * w
+    ref = BW @ K @ BW.T
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_weyl_matrix_records_its_quadrature():
+    wm = weyl_matrix(FR, lambda x, y: np.exp(-0.5 * (x**2 + y**2)), 8, quad_points=40)
+    assert wm.quad_points == 40
+    assert 0.0 < wm.quad_err <= 1e-6
+
+
+@pytest.mark.parametrize("kw", [
+    {"size": -1}, {"size": 201}, {"size": 2.0}, {"extent": -3.0}, {"extent": float("nan")},
+    {"tol": float("nan")}, {"quad_points": 1}, {"quad_points": 2},
+], ids=["size-negative", "size-past-cap", "size-float", "extent-negative", "extent-nan",
+        "tol-nan", "quad-points-1", "quad-points-2"])
+def test_weyl_rejects_malformed_input(kw):
+    calls = []
+
+    def f(x, y):
+        calls.append(1)
+        return np.exp(-0.5 * (x**2 + y**2))
+
+    args = {"size": 4, **kw}
+    with pytest.raises(ValueError):
+        weyl_matrix(FR, f, args.pop("size"), **args)
+    assert not calls
 
 
 def test_weyl_diagonality_on_invariant_input():
@@ -186,19 +267,6 @@ def test_gft_dilation_covariance():
     # vertical profile is a delta here, so only the plane factor scales:
     # f(c z) integrates to c^{-n} under the Weyl kernel at lam / c^2
     assert np.max(np.abs(m_dil - c ** (-G.n) * m_ref)) < 1e-6
-
-
-def test_gft_matrix_separable():
-    # product function: the matrix is the vertical transform scalar times
-    # the plane Weyl matrix
-    from carnot.hermite import gft_matrix
-
-    f_plane = lambda x, y: np.exp(-0.5 * (x**2 + y**2))
-    f_hat_v = lambda lam, nu: math.sqrt(2 * math.pi) * math.exp(-(lam**2) / 2.0)
-    gm = gft_matrix(FR, f_plane, f_hat_v, 1.0, (), 6)
-    wm = weyl_matrix(FR, f_plane, 6)
-    scalar = math.sqrt(2 * math.pi) * math.exp(-0.5)
-    assert np.max(np.abs(gm.entries - scalar * wm.entries)) < 1e-12
 
 
 def test_oscillator_diag():
