@@ -11,7 +11,6 @@ orthonormal (the Rodrigues form divided by k!).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -165,9 +164,10 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=
     the lattice ``linspace(-L, L, N)`` in xi, zeta and y, ``L = extent`` or
     ``8 / sqrt(min(eta, 1))``.  There ``zeta_b - xi_a = (b - a) h`` and
     ``xi_a + zeta_b = -2 L + (a + b) h``: each rule calls ``f`` once, on the
-    ``(2N - 1) x N`` difference lattice, and K is one matmul of that table
-    against the phase table in ``(y, a + b)``, split by the parity that
-    ``b - a`` and ``a + b`` share.  Doubling ``quad_points`` must move no
+    ``(2N - 1) x N`` difference lattice, and the real and imaginary parts
+    of K are one matmul each of that table against the cosine and the sine
+    of the phase table in ``(y, a + b)``, split by the parity that ``b - a``
+    and ``a + b`` share.  Doubling ``quad_points`` must move no
     element by more than ``tol`` (``refinement_error``).
     """
     _require_weyl_input(size, quad_points, extent, tol)
@@ -178,18 +178,23 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=
     L = extent if extent is not None else 8.0 / math.sqrt(min(eta, 1.0))
 
     def assemble(npts):
-        x, w, cos, sin, gather = _lattice_tables(eta, L, npts)
+        x, w = extended_simpson(-L, L, npts)
         h = 2.0 * L / (npts - 1)
-        # f((b - a) h, y_j) w_j at row b - a + npts - 1 of one table
+        # f((b - a) h, y_j) w_j at row b - a + npts - 1, and the phase
+        # eta y_j (xi_a + zeta_b) / 2 at column a + b
         fw = np.broadcast_to(f(h * np.arange(1 - npts, npts)[:, None], x[None, :]),
                              (2 * npts - 1, npts)) * w
-        blocks = [fw[p::2] @ cos[:, q::2] + 1j * (fw[p::2] @ sin[:, q::2])
-                  for p, q in ((0, (npts - 1) % 2), (1, npts % 2))]
-        K = np.concatenate([blk.ravel() for blk in blocks])[gather]
+        angle = 0.5 * eta * np.outer(x, h * np.arange(2 * npts - 1) - 2 * L)
+        parities = ((0, (npts - 1) % 2), (1, npts % 2))      # of rows and of columns
+        gather = _parity_gather(npts)
+        # K = C + i S, each of C and S one matmul per parity block
+        C, S = (np.concatenate([(fw[p::2] @ trig(angle[:, q::2])).ravel()
+                                for p, q in parities])[gather]
+                for trig in (np.cos, np.sin))
         # project onto the scaled Hermite basis: rows Phi^lam_n at the nodes
         BW = abs(frame.pf) ** 0.25 * hermite_phi_all(size, math.sqrt(eta) * x) * w
         # entries[gamma, alpha] = <W(f) Phi_alpha, Phi_gamma>
-        return BW @ K @ BW.T
+        return BW @ C @ BW.T + 1j * (BW @ S @ BW.T)
 
     second = assemble(2 * quad_points)
     err = refinement_error(assemble(quad_points), second, 1.0, tol,
@@ -198,27 +203,18 @@ def weyl_matrix(frame: SpectralFrame, f, size, quad_points=90, extent=None, tol=
                       quad_err=err)
 
 
-@functools.lru_cache(maxsize=8)
-def _lattice_tables(eta, L, npts):
-    """The f-independent tables of :func:`weyl_matrix` on ``npts`` nodes, read-only:
+def _parity_gather(npts):
+    """Flat position of ``K[a, b]`` in the two parity blocks of ``weyl_matrix``,
 
-    nodes and weights, the phase ``eta y_j (xi_a + zeta_b) / 2`` of column
-    ``a + b`` as cosine and sine tables, and the flat position of ``K[a, b]``
-    in the two parity blocks stacked (rows ``b - a + npts - 1`` of parity p
-    against columns ``a + b`` of parity ``(p + npts - 1) % 2``).
+    stacked: rows ``b - a + npts - 1`` of parity p against columns ``a + b``
+    of parity ``(p + npts - 1) % 2``, the one they share.
     """
-    x, w = extended_simpson(-L, L, npts)
-    angle = 0.5 * eta * np.outer(x, 2.0 * L / (npts - 1) * np.arange(2 * npts - 1) - 2 * L)
     idx = np.arange(npts)
     row = npts - 1 - np.subtract.outer(idx, idx)
     col = np.add.outer(idx, idx)
     cols_even = npts - (npts - 1) % 2          # columns of the parity-0 block
-    gather = np.where(row % 2 == 0, (row // 2) * cols_even + col // 2,
-                      npts * cols_even + (row // 2) * (2 * npts - 1 - cols_even) + col // 2)
-    tables = (x, w, np.cos(angle), np.sin(angle), gather)
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
+    return np.where(row % 2 == 0, (row // 2) * cols_even + col // 2,
+                    npts * cols_even + (row // 2) * (2 * npts - 1 - cols_even) + col // 2)
 
 
 def _require_weyl_input(size, quad_points, extent, tol):
